@@ -39,7 +39,6 @@ from .integrator import (
 from .partition import (
     Gauge,
     Interval,
-    TaggedInterval,
     TaggedPartition,
     cousin_partition,
     is_delta_fine,
@@ -65,7 +64,6 @@ __all__ = [
     "LengthMismatch",
     "NonFiniteValue",
     "RealFunction",
-    "TaggedInterval",
     "TaggedPartition",
     "WitnessNotFound",
     "check_criterion1",

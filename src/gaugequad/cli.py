@@ -6,7 +6,8 @@ bookkeeping), converge (criterion checkers), demo (headline walkthrough).
 
 Exit codes: 0 success, 1 usage error, 2 non-convergence or failed check.
 CSV output uses 17 significant digits so doubles round-trip; identical
-configurations (including seed) produce byte-identical output.
+configurations (including seed) produce byte-identical output for a fixed
+BLAS thread count.
 """
 from __future__ import annotations
 
@@ -16,18 +17,18 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import oscillator
 from .criteria import check_criterion1, check_criterion2, check_criterion3
 from .errors import GaugeQuadError
 from .integrator import (
+    IntegralEstimate,
     gauge_integrate,
-    riemann_sum,
     smooth_gauge_family,
     sum_defect,
 )
-from .partition import Interval, cousin_partition
+from .partition import DEFAULT_MAX_DEPTH, Interval, cousin_partition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,11 +58,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gaugequad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default=1e-3):
-        p.add_argument("--tol", type=float, default=tol_default)
+    def common(p, accuracy_flag="--tol"):
+        p.add_argument(accuracy_flag, type=float, default=1e-3)
         p.add_argument("--trials", type=int, default=4)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-depth", type=int, default=64)
+        p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", type=str, default=None)
 
@@ -84,12 +85,7 @@ def build_parser() -> _Parser:
 
     p_conv = sub.add_parser("converge", help="run convergence-criterion checkers")
     p_conv.add_argument("which", choices=("1", "2", "3", "all"))
-    p_conv.add_argument("--eps", type=float, default=1e-3)
-    p_conv.add_argument("--trials", type=int, default=4)
-    p_conv.add_argument("--seed", type=int, default=None)
-    p_conv.add_argument("--max-depth", type=int, default=64)
-    p_conv.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p_conv.add_argument("--out", type=str, default=None)
+    common(p_conv, "--eps")
 
     p_demo = sub.add_parser("demo", help="headline walkthrough")
     common(p_demo)
@@ -110,11 +106,14 @@ def _resolve_seed(ns) -> int:
 
 
 def _validate_run(ns) -> None:
-    if getattr(ns, "tol", 1.0) <= 0.0:
-        raise _UsageError("--tol must be positive")
-    if getattr(ns, "trials", 2) < 2:
+    """Checks shared by the integrate, demo and converge options."""
+    name = "eps" if ns.command == "converge" else "tol"
+    accuracy = getattr(ns, name)
+    if not (math.isfinite(accuracy) and accuracy > 0.0):
+        raise _UsageError(f"--{name} must be positive")
+    if ns.trials < 2:
         raise _UsageError("--trials must be >= 2")
-    if not 8 <= getattr(ns, "max_depth", 64) <= 128:
+    if not 8 <= ns.max_depth <= 128:
         raise _UsageError("--max-depth must be in [8, 128]")
 
 
@@ -133,18 +132,20 @@ def _estimate_payload(name, est, oracle):
     return payload
 
 
-def _render_payload(payload: dict, fmt: str) -> str:
+def _render(payloads: list, fmt: str, csv_keys: Sequence[str]) -> str:
+    """json: the payload, or a list of several; csv: a csv_keys header and
+    one row per payload, blank where a key is missing; table: `key = value`
+    lines, payloads separated by a blank line."""
     if fmt == "json":
-        return json.dumps(payload) + "\n"
+        return json.dumps(payloads if len(payloads) > 1 else payloads[0]) + "\n"
     if fmt == "csv":
-        keys = list(payload)
-        row = ",".join(
-            _fmt(payload[k]) if isinstance(payload[k], float) else str(payload[k])
-            for k in keys
-        )
-        return ",".join(keys) + "\n" + row + "\n"
-    lines = [f"{k} = {payload[k]}" for k in payload]
-    return "\n".join(lines) + "\n"
+        lines = [",".join(csv_keys)]
+        for p in payloads:
+            cells = (p.get(k, "") for k in csv_keys)
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells))
+        return "\n".join(lines) + "\n"
+    blocks = ("\n".join(f"{k} = {v}" for k, v in p.items()) for p in payloads)
+    return "\n\n".join(blocks) + "\n"
 
 
 def cmd_integrate(ns) -> int:
@@ -162,39 +163,28 @@ def cmd_integrate(ns) -> int:
         gauge = oscillator.loop_gauge_family().at(ns.tol)
         p = cousin_partition(domain, gauge, ns.max_depth)
         defect = sum_defect(oscillator.F, oscillator.f, p)
-        payload = {
-            "function": "F-defect",
-            "value": defect,
-            "spread": 0.0,
-            "cells_used": len(p),
-            "trials": 1,
-            "converged": defect < ns.tol,
-            "oracle": 0.0,
-            "abs_error": defect,
-        }
-        _emit(_render_payload(payload, ns.format), ns.out)
-        return EXIT_OK if defect < ns.tol else EXIT_NOT_CONVERGED
-
-    if ns.function == "f":
-        integrand = oscillator.f
-        family = oscillator.loop_gauge_family()
-        oracle = oscillator.exact_integral_f()
-    elif ns.function == "fj":
-        integrand = lambda x, _j=ns.j: oscillator.f_j(_j, x)  # noqa: E731
-        family = oscillator.truncated_gauge_family(ns.j)
-        oracle = oscillator.exact_integral_fj(ns.j)
+        est = IntegralEstimate(defect, 0.0, len(p), 1, defect < ns.tol)
+        oracle = 0.0
     else:
-        k = int(ns.function.split("-")[1])
-        integrand = lambda x, _k=k: x**_k  # noqa: E731
-        family = smooth_gauge_family()
-        oracle = 1.0 / (k + 1)
-
-    est = gauge_integrate(
-        integrand, family, domain, ns.tol, trials=ns.trials, seed=seed,
-        max_depth=ns.max_depth,
-    )
+        if ns.function == "f":
+            integrand = oscillator.f
+            family = oscillator.loop_gauge_family()
+            oracle = oscillator.exact_integral_f()
+        elif ns.function == "fj":
+            integrand = lambda x, _j=ns.j: oscillator.f_j(_j, x)  # noqa: E731
+            family = oscillator.truncated_gauge_family(ns.j)
+            oracle = oscillator.exact_integral_fj(ns.j)
+        else:
+            k = int(ns.function.split("-")[1])
+            integrand = lambda x, _k=k: x**_k  # noqa: E731
+            family = smooth_gauge_family()
+            oracle = 1.0 / (k + 1)
+        est = gauge_integrate(
+            integrand, family, domain, ns.tol, trials=ns.trials, seed=seed,
+            max_depth=ns.max_depth,
+        )
     payload = _estimate_payload(ns.function, est, oracle)
-    _emit(_render_payload(payload, ns.format), ns.out)
+    _emit(_render([payload], ns.format, list(payload)), ns.out)
     ok = est.converged and payload["abs_error"] <= ns.tol
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
@@ -235,22 +225,16 @@ def cmd_loops(ns) -> int:
     footer_bracket = f"alternating bracket width a_(n_max+1) = {_fmt(bracket)}"
 
     header = ("n", "root", "area", "even_partial", "odd_partial", "alternating_partial")
+    records = [dict(zip(header, r)) for r in rows]
     if ns.format == "json":
         payload = {
-            "rows": [dict(zip(header, r)) for r in rows],
+            "rows": records,
             "first_even_partial_over_1": first_even_over_1,
             "alternating_bracket_width": bracket,
         }
-        text = json.dumps(payload) + "\n"
+        text = _render([payload], "json", header)
     elif ns.format == "csv":
-        body = "".join(
-            f"{n},{_fmt(r)},{_fmt(a)},{_fmt(e)},{_fmt(o)},{_fmt(al)}\n"
-            for n, r, a, e, o, al in rows
-        )
-        text = (
-            ",".join(header) + "\n" + body
-            + f"# {footer_even}\n# {footer_bracket}\n"
-        )
+        text = _render(records, "csv", header) + f"# {footer_even}\n# {footer_bracket}\n"
     else:
         lines = ["  ".join(f"{h:>20}" for h in header)]
         for n, r, a, e, o, al in rows:
@@ -264,19 +248,8 @@ def cmd_loops(ns) -> int:
     return EXIT_OK
 
 
-def _report_payload(name, rep) -> dict:
-    d = dataclasses.asdict(rep)
-    d["criterion"] = name
-    return {"criterion": d.pop("criterion"), **d}
-
-
 def cmd_converge(ns) -> int:
-    if ns.eps <= 0.0:
-        raise _UsageError("--eps must be positive")
-    if ns.trials < 2:
-        raise _UsageError("--trials must be >= 2")
-    if not 8 <= ns.max_depth <= 128:
-        raise _UsageError("--max-depth must be in [8, 128]")
+    _validate_run(ns)
     seed = _resolve_seed(ns)
     fam = oscillator.integrand_family()
     payloads = []
@@ -294,7 +267,7 @@ def cmd_converge(ns) -> int:
             seed=seed,
             max_depth=ns.max_depth,
         )
-        payloads.append(_report_payload("criterion1", rep))
+        payloads.append({"criterion": "criterion1", **dataclasses.asdict(rep)})
         all_pass &= rep.passed
     if ns.which in ("2", "all"):
         q = math.ceil(1.0 / math.sqrt(ns.eps))
@@ -309,7 +282,7 @@ def cmd_converge(ns) -> int:
             seed=seed,
             max_depth=ns.max_depth,
         )
-        payloads.append(_report_payload("criterion2", rep))
+        payloads.append({"criterion": "criterion2", **dataclasses.asdict(rep)})
         all_pass &= rep.passed
     if ns.which in ("3", "all"):
         agree = check_criterion3(SIN1, SIN1, 1e-9)
@@ -324,27 +297,8 @@ def cmd_converge(ns) -> int:
         )
         all_pass &= agree
 
-    if ns.format == "json":
-        text = json.dumps(payloads if len(payloads) > 1 else payloads[0]) + "\n"
-    elif ns.format == "csv":
-        keys = sorted({k for p in payloads for k in p})
-        lines = [",".join(keys)]
-        for p in payloads:
-            lines.append(
-                ",".join(
-                    (_fmt(p[k]) if isinstance(p[k], float) else str(p[k]))
-                    if k in p
-                    else ""
-                    for k in keys
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        chunks = []
-        for p in payloads:
-            chunks.append("\n".join(f"{k} = {v}" for k, v in p.items()))
-        text = "\n\n".join(chunks) + "\n"
-    _emit(text, ns.out)
+    keys = sorted({k for p in payloads for k in p})
+    _emit(_render(payloads, ns.format, keys), ns.out)
     return EXIT_OK if all_pass else EXIT_NOT_CONVERGED
 
 

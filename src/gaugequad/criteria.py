@@ -15,14 +15,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import IndexBelowQ, LengthMismatch, NonFiniteValue
-from .integrator import RealFunction, _dot, _random_partition, riemann_sum
+from .integrator import RealFunction, _dot, riemann_sum
 from .partition import (
     DEFAULT_MAX_DEPTH,
     Gauge,
     Interval,
     TaggedPartition,
+    _eval_points,
     cousin_partition,
 )
+# An alias, not a direct call, because bench/tracer.py rebinds this name.
+from .partition import random_delta_fine_partition as _random_partition
 
 __all__ = [
     "IntegrandFamily",
@@ -73,7 +76,8 @@ def _indices_array(indices, n: int) -> np.ndarray:
     arr = np.asarray(indices)
     if arr.ndim != 1 or arr.size != n:
         raise LengthMismatch(f"expected {n} indices, got shape {arr.shape}")
-    if not np.all(arr >= 1):
+    integral = arr.dtype.kind in "iu" or np.all(np.isfinite(arr) & (np.floor(arr) == arr))
+    if not (integral and np.all(arr >= 1)):
         raise ValueError("indices must be positive integers")
     return arr
 
@@ -96,28 +100,14 @@ def variable_index_sum(
         values = np.empty(len(p))
         for j in np.unique(idx):
             sel = idx == j
-            fj = fam.member(int(j))
-            sub = p.tags[sel]
-            try:
-                vals = np.asarray(fj(sub), dtype=float)
-                if vals.shape != sub.shape:
-                    vals = np.broadcast_to(vals, sub.shape)
-            except (TypeError, ValueError):
-                vals = np.array([float(fj(float(x))) for x in sub])
-            values[sel] = vals
+            values[sel] = _eval_points(fam.member(int(j)), p.tags[sel])
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue("family member non-finite at a tag")
     return _dot(values, p.lengths, compensated)
 
 
 def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(sel.threshold(tags))
-        if out.shape != tags.shape:
-            out = np.broadcast_to(out, tags.shape)
-    except (TypeError, ValueError):
-        out = np.array([sel.threshold(float(x)) for x in tags])
-    out = out.astype(np.int64)
+    out = _eval_points(sel.threshold, tags, dtype=None).astype(np.int64)
     if not np.all(out >= 1):
         raise ValueError("selector thresholds must be positive")
     return out

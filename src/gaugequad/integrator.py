@@ -25,9 +25,11 @@ from .partition import (
     Gauge,
     Interval,
     TaggedPartition,
-    _build_fine,
+    _eval_points,
     cousin_partition,
 )
+# An alias, not a direct call, because bench/tracer.py rebinds this name.
+from .partition import random_delta_fine_partition as _random_partition
 
 __all__ = [
     "RealFunction",
@@ -100,13 +102,8 @@ def smooth_gauge_family(scale: float = 1.0) -> GaugeFamily:
 
 
 def _eval_values(f: RealFunction, xs: np.ndarray) -> np.ndarray:
-    """Evaluate an integrand on an array, falling back to pointwise calls."""
-    try:
-        out = np.asarray(f(xs), dtype=float)
-        if out.shape != xs.shape:
-            out = np.broadcast_to(out, xs.shape).copy()
-    except (TypeError, ValueError):
-        out = np.array([float(f(float(x))) for x in xs])
+    """Evaluate an integrand on an array, rejecting non-finite values."""
+    out = _eval_points(f, xs)
     if not np.all(np.isfinite(out)):
         bad = xs[~np.isfinite(out)]
         raise NonFiniteValue(f"integrand non-finite at x={bad[0]}")
@@ -116,8 +113,10 @@ def _eval_values(f: RealFunction, xs: np.ndarray) -> np.ndarray:
 def _dot(values: np.ndarray, weights: np.ndarray, compensated: bool) -> float:
     """Single summation path shared by every sum operation.
 
-    Terms are combined in cell order (left to right); with
-    compensated=True the products are accumulated exactly via fsum.
+    The plain path is a BLAS dot product, whose order of accumulation
+    depends on the BLAS kernel and thread count, so its last bits can vary
+    between machines and thread settings.  With compensated=True the
+    products are accumulated exactly via fsum, independent of order.
     """
     if compensated:
         return math.fsum(values * weights)
@@ -221,13 +220,6 @@ def gauge_integrate(
             )
         eps *= 0.5
     return IntegralEstimate(last.value, last.spread, last.cells_used, trials, False)
-
-
-def _random_partition(domain, gauge, seed_seq, max_depth) -> TaggedPartition:
-    """random_delta_fine_partition with a composite seed."""
-    rng = np.random.default_rng(seed_seq)
-    tags, lefts, rights = _build_fine(domain, gauge, max_depth, rng)
-    return TaggedPartition(domain, tags, lefts, rights)
 
 
 def riemann_unboundedness_witness(

@@ -78,14 +78,35 @@ def _raw_f(x: np.ndarray) -> np.ndarray:
     return _sin_term(x) - _cos_term(x)
 
 
-def f(x):
-    """The example integrand; 0 at x = 0.  Accepts scalars or arrays."""
+def _raw_F(x: np.ndarray) -> np.ndarray:
+    # figure 4, x > 0 assumed: x^2 sin(1/x^2)
+    return x * x * np.sin(1.0 / (x * x))
+
+
+def _truncated(kernel, x, j=None):
+    """kernel on the live points of x and 0 elsewhere; scalar in, scalar out.
+
+    Live means x > 0, or x >= 1/j when a truncation index j (a positive
+    integer or an integer array aligned with x) is given.
+    """
+    if j is not None and not np.all(np.asarray(j) >= 1):
+        raise ValueError("truncation index must be >= 1")
     arr, scalar = _as_array(x)
     _check_domain(arr)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    out[pos] = _raw_f(arr[pos])
-    return float(out) if scalar else out
+    if j is None:
+        live = arr > 0.0
+    else:
+        jarr = np.asarray(j, dtype=float)
+        arr = np.broadcast_to(arr, np.broadcast_shapes(arr.shape, jarr.shape))
+        live = arr >= 1.0 / jarr
+    out = np.zeros(arr.shape)
+    out[live] = kernel(arr[live])
+    return float(out) if scalar and out.ndim == 0 else out
+
+
+def f(x):
+    """The example integrand; 0 at x = 0.  Accepts scalars or arrays."""
+    return _truncated(_raw_f, x)
 
 
 def f_j(j, x):
@@ -93,42 +114,17 @@ def f_j(j, x):
 
     j may be a positive integer or an integer array aligned with x.
     """
-    jarr = np.asarray(j)
-    if not np.all(jarr >= 1):
-        raise ValueError("truncation index must be >= 1")
-    arr, scalar = _as_array(x)
-    _check_domain(arr)
-    out = np.zeros(np.broadcast_shapes(arr.shape, jarr.shape), dtype=float)
-    arr_b = np.broadcast_to(arr, out.shape)
-    live = arr_b >= 1.0 / np.asarray(jarr, dtype=float)
-    out[live] = _raw_f(arr_b[live])
-    return float(out) if scalar and out.ndim == 0 else out
+    return _truncated(_raw_f, x, j)
 
 
 def F(x):
     """Primitive of f: x^2 sin(1/x^2), 0 at x = 0."""
-    arr, scalar = _as_array(x)
-    _check_domain(arr)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    xp = arr[pos]
-    out[pos] = xp * xp * np.sin(1.0 / (xp * xp))
-    return float(out) if scalar else out
+    return _truncated(_raw_F, x)
 
 
 def F_j(j, x):
     """Truncated primitive: F(x) for x >= 1/j, else 0."""
-    jarr = np.asarray(j)
-    if not np.all(jarr >= 1):
-        raise ValueError("truncation index must be >= 1")
-    arr, scalar = _as_array(x)
-    _check_domain(arr)
-    out = np.zeros(np.broadcast_shapes(arr.shape, jarr.shape), dtype=float)
-    arr_b = np.broadcast_to(arr, out.shape)
-    live = arr_b >= 1.0 / np.asarray(jarr, dtype=float)
-    xp = arr_b[live]
-    out[live] = xp * xp * np.sin(1.0 / (xp * xp))
-    return float(out) if scalar and out.ndim == 0 else out
+    return _truncated(_raw_F, x, j)
 
 
 def loop_root(n):
@@ -307,7 +303,7 @@ def figure_samples(which, x_min: float, x_max: float, count: int):
     elif name == "fig3":
         ys = _raw_f(xs)
     else:
-        ys = xs * xs * np.sin(1.0 / (xs * xs))
+        ys = _raw_F(xs)
     return list(zip(xs.tolist(), ys.tolist()))
 
 

@@ -1,4 +1,4 @@
-"""Tagged intervals, tagged partitions, gauges, and fineness machinery.
+"""Intervals, tagged partitions, gauges, and fineness machinery.
 
 A gauge is a strictly positive function delta(x) on an interval.  A tagged
 partition {(x_i, [u_{i-1}, u_i])} is delta-fine when every cell satisfies
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import DepthExceeded, InvalidGauge
 
 __all__ = [
     "Interval",
-    "TaggedInterval",
     "TaggedPartition",
     "Gauge",
     "is_delta_fine",
@@ -55,32 +54,21 @@ class Interval:
     def length(self) -> float:
         return self.b - self.a
 
-    def __contains__(self, x: float) -> bool:
-        return self.a <= x <= self.b
 
+def _eval_points(fn: Callable, xs: np.ndarray, dtype=float) -> np.ndarray:
+    """fn on every point of xs: one array call, else one call per point.
 
-@dataclass(frozen=True)
-class TaggedInterval:
-    """A cell [u, v] with an evaluation point (tag) inside it.
-
-    Tags may sit on either endpoint: shared endpoints between adjacent
-    cells carry zero length, so sums are unaffected.
+    A result of another shape is broadcast and copied (a dot product over
+    a stride-0 view rounds differently); a callable that rejects arrays
+    with TypeError or ValueError is called once per point.
     """
-
-    tag: float
-    cell: Interval
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.tag):
-            raise ValueError(f"tag must be finite, got {self.tag}")
-        if not self.cell.a <= self.tag <= self.cell.b:
-            raise ValueError(
-                f"tag {self.tag} outside cell [{self.cell.a}, {self.cell.b}]"
-            )
-
-    @property
-    def length(self) -> float:
-        return self.cell.length
+    try:
+        out = np.asarray(fn(xs), dtype=dtype)
+        if out.shape != xs.shape:
+            out = np.broadcast_to(out, xs.shape).copy()
+    except (TypeError, ValueError):
+        out = np.array([fn(float(x)) for x in xs], dtype=dtype)
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,12 +89,7 @@ class Gauge:
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the gauge on an array of points, validating positivity."""
-        try:
-            out = np.asarray(self.delta(xs), dtype=float)
-            if out.shape != xs.shape:
-                out = np.broadcast_to(out, xs.shape)
-        except (TypeError, ValueError):
-            out = np.array([float(self.delta(float(x))) for x in xs])
+        out = _eval_points(self.delta, xs)
         if not np.all(np.isfinite(out) & (out > 0.0)):
             bad = xs[~(np.isfinite(out) & (out > 0.0))]
             raise InvalidGauge(f"gauge non-positive or non-finite at x={bad[0]}")
@@ -117,8 +100,8 @@ class TaggedPartition:
     """An ordered, exactly-abutting tagged partition of a compact interval.
 
     Cells are held as flat arrays (tags, lefts, rights) so million-cell
-    partitions stay cheap; `cells` materializes TaggedInterval views on
-    demand.  Instances are immutable after construction.
+    partitions stay cheap.  A tag may sit on either endpoint of its cell.
+    Instances are immutable after construction.
     """
 
     __slots__ = ("domain", "tags", "lefts", "rights")
@@ -154,36 +137,12 @@ class TaggedPartition:
         self.lefts = lefts
         self.rights = rights
 
-    @classmethod
-    def from_cells(
-        cls, cells: Sequence[TaggedInterval], domain: Interval | None = None
-    ) -> "TaggedPartition":
-        cells = list(cells)
-        if not cells:
-            raise ValueError("partition must contain at least one cell")
-        if domain is None:
-            domain = Interval(cells[0].cell.a, cells[-1].cell.b)
-        return cls(
-            domain,
-            [c.tag for c in cells],
-            [c.cell.a for c in cells],
-            [c.cell.b for c in cells],
-        )
-
     @property
     def lengths(self) -> np.ndarray:
         return self.rights - self.lefts
 
-    @property
-    def cells(self) -> list[TaggedInterval]:
-        return list(self)
-
     def __len__(self) -> int:
         return self.tags.size
-
-    def __iter__(self) -> Iterator[TaggedInterval]:
-        for t, u, v in zip(self.tags, self.lefts, self.rights):
-            yield TaggedInterval(float(t), Interval(float(u), float(v)))
 
     def __repr__(self) -> str:
         return (
@@ -285,23 +244,30 @@ def cousin_partition(
     Raises DepthExceeded when `max_depth` is reached with cells still
     unacceptable.
     """
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    tags, lefts, rights = _build_fine(domain, g, max_depth, None)
-    return TaggedPartition(domain, tags, lefts, rights)
+    return _fine_partition(domain, g, max_depth, None)
 
 
 def random_delta_fine_partition(
-    domain: Interval, g: Gauge, seed: int, max_depth: int = DEFAULT_MAX_DEPTH
+    domain: Interval,
+    g: Gauge,
+    seed: int | Sequence[int],
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> TaggedPartition:
     """Seeded randomized delta-fine partition.
 
     Randomness enters through bisection points (uniform in the middle half
     of each cell) and through the per-cell candidate-tag order.  The result
-    is deterministic for a fixed seed.
+    is deterministic for a fixed seed, which may be an int or a sequence of
+    ints such as (seed, level, trial).
     """
+    return _fine_partition(domain, g, max_depth, np.random.default_rng(seed))
+
+
+def _fine_partition(
+    domain: Interval, g: Gauge, max_depth: int, rng: np.random.Generator | None
+) -> TaggedPartition:
+    """Body of both constructors; rng=None selects the deterministic rule."""
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    rng = np.random.default_rng(seed)
     tags, lefts, rights = _build_fine(domain, g, max_depth, rng)
     return TaggedPartition(domain, tags, lefts, rights)

@@ -71,6 +71,15 @@ def test_integrate_rejects_bad_config(capsys):
     assert run(capsys, ["integrate", "f", "--trials", "1"])[0] == 1
     assert run(capsys, ["integrate", "f", "--max-depth", "4"])[0] == 1
     assert run(capsys, ["integrate", "f", "--max-depth", "200"])[0] == 1
+    for value in ("nan", "inf"):
+        for argv in (["integrate", "f"], ["integrate", "F-defect"], ["demo"]):
+            assert run(capsys, argv + ["--tol", value]) == (
+                1, "", "error: --tol must be positive\n"
+            )
+        for which in ("1", "2", "3", "all"):
+            assert run(capsys, ["converge", which, "--eps", value]) == (
+                1, "", "error: --eps must be positive\n"
+            )
 
 
 def test_unknown_command_is_usage_error(capsys):

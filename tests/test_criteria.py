@@ -14,6 +14,7 @@ from gaugequad import (
     check_criterion1,
     check_criterion2,
     check_criterion3,
+    cousin_partition,
     random_delta_fine_partition,
     riemann_sum,
     smooth_gauge_family,
@@ -81,6 +82,16 @@ def test_variable_index_sum_validates_lengths_and_values():
         variable_index_sum(fam, np.ones(len(p) + 1, dtype=int), p)
     with pytest.raises(ValueError):
         variable_index_sum(fam, np.zeros(len(p), dtype=int), p)
+    # both evaluation paths must reject a fractional index, which they
+    # would otherwise truncate at different points (1/2.5 against 1/2)
+    generic = IntegrandFamily(member=fam.member, limit=fam.limit, domain=fam.domain)
+    for family in (fam, generic):
+        for bad in (2.5, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                variable_index_sum(family, np.full(len(p), bad), p)
+        assert variable_index_sum(family, np.full(len(p), 5.0), p) == (
+            variable_index_sum(family, np.full(len(p), 5), p)
+        )
 
 
 # ------------------------------------------------------- check_criterion1
@@ -297,3 +308,45 @@ def test_criterion3_cases():
     assert check_criterion3(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         check_criterion3(0.0, 0.0, -1e-9)
+
+
+# ------------------------------------------------- per-point fallback
+
+def scalar_only(fn):
+    """fn restricted to scalars: array arguments raise TypeError."""
+
+    def scalar(x):
+        if np.ndim(x):
+            raise TypeError("scalar only")
+        return fn(x)
+
+    return scalar
+
+
+def build_with_gauge(wrap):
+    p = cousin_partition(UNIT, Gauge(wrap(lambda x: 0.02 + x / 8.0)))
+    return p.tags.tolist(), p.lefts.tolist(), p.rights.tolist()
+
+
+def sum_with_member(wrap):
+    fam = paper_family()
+    generic = IntegrandFamily(
+        member=lambda j: wrap(fam.member(j)), limit=fam.limit, domain=fam.domain
+    )
+    p = small_partition(seed=5)
+    return variable_index_sum(generic, 1 + np.arange(len(p)) % 7, p)
+
+
+def check_with_threshold(wrap):
+    sel = IndexSelector(wrap(osc.index_selector().threshold))
+    return check_criterion1(
+        paper_family(), osc.loop_gauge_family(), sel,
+        alpha1=SIN1, eps=1e-2, trials=2, index_headroom=5, seed=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "run", [build_with_gauge, sum_with_member, check_with_threshold]
+)
+def test_scalar_only_callable_matches_vectorized_bitwise(run):
+    assert run(scalar_only) == run(lambda fn: fn)

@@ -8,7 +8,6 @@ from gaugequad import (
     Gauge,
     Interval,
     InvalidGauge,
-    TaggedInterval,
     TaggedPartition,
     cousin_partition,
     is_delta_fine,
@@ -30,17 +29,6 @@ def test_interval_requires_order_and_finiteness():
         Interval(0.0, math.inf)
 
 
-def test_tagged_interval_tag_containment():
-    cell = Interval(0.25, 0.5)
-    TaggedInterval(0.25, cell)  # endpoint tags allowed
-    TaggedInterval(0.5, cell)
-    TaggedInterval(0.3, cell)
-    with pytest.raises(ValueError):
-        TaggedInterval(0.2, cell)
-    with pytest.raises(ValueError):
-        TaggedInterval(0.6, cell)
-
-
 def test_partition_validates_cover_and_abutment():
     dom = Interval(0.0, 1.0)
     TaggedPartition(dom, [0.25, 0.75], [0.0, 0.5], [0.5, 1.0])
@@ -56,18 +44,6 @@ def test_partition_validates_cover_and_abutment():
     # tag outside its cell
     with pytest.raises(ValueError):
         TaggedPartition(dom, [0.75, 0.75], [0.0, 0.5], [0.5, 1.0])
-
-
-def test_partition_from_cells_round_trip():
-    cells = [
-        TaggedInterval(0.0, Interval(0.0, 0.5)),
-        TaggedInterval(0.75, Interval(0.5, 1.0)),
-    ]
-    p = TaggedPartition.from_cells(cells)
-    assert len(p) == 2
-    assert p.domain == Interval(0.0, 1.0)
-    assert [c.tag for c in p] == [0.0, 0.75]
-    assert p.cells[1].cell == Interval(0.5, 1.0)
 
 
 def test_partition_arrays_are_readonly():
