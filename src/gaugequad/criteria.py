@@ -9,6 +9,7 @@ evidence gatherers, not provers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -72,6 +73,19 @@ class CriterionReport:
     passed: bool
 
 
+def _report(alpha: float, eps: float, band: float, devs: list[float]) -> CriterionReport:
+    """Report on sampled deviations |alpha - sum|; one at or above band fails."""
+    violations = sum(dev >= band for dev in devs)
+    return CriterionReport(
+        alpha=alpha,
+        epsilon=eps,
+        trials=len(devs),
+        violations=violations,
+        worst_deviation=max([0.0, *devs]),
+        passed=violations == 0,
+    )
+
+
 def _indices_array(indices, n: int) -> np.ndarray:
     arr = np.asarray(indices)
     if arr.ndim != 1 or arr.size != n:
@@ -133,31 +147,19 @@ def check_criterion1(
     evidence for the criterion whose conclusion is that the limit function
     integrates to alpha1.
     """
-    if eps <= 0.0 or trials < 1 or index_headroom < 1 or index_draws < 1:
-        raise ValueError("eps > 0, trials >= 1, index_headroom >= 1 required")
+    bad_eps = not (math.isfinite(eps) and eps > 0.0)
+    if bad_eps or trials < 1 or index_headroom < 1 or index_draws < 1:
+        raise ValueError("finite eps > 0, trials >= 1, index_headroom >= 1 required")
     gauge = gf.at(eps)
-    violations = 0
-    worst = 0.0
-    total = 0
+    devs = []
     for i in range(trials):
         p = _random_partition(fam.domain, gauge, [seed, 1, i], max_depth)
         thr = _thresholds(sel, p.tags)
         rng = np.random.default_rng([seed, 2, i])
         for _ in range(index_draws):
             idx = thr + rng.integers(1, index_headroom + 1, size=len(p))
-            s = variable_index_sum(fam, idx, p)
-            dev = abs(alpha1 - s)
-            worst = max(worst, dev)
-            violations += dev >= eps
-            total += 1
-    return CriterionReport(
-        alpha=alpha1,
-        epsilon=eps,
-        trials=total,
-        violations=violations,
-        worst_deviation=worst,
-        passed=violations == 0,
-    )
+            devs.append(abs(alpha1 - variable_index_sum(fam, idx, p)))
+    return _report(alpha1, eps, eps, devs)
 
 
 def check_criterion2(
@@ -177,14 +179,12 @@ def check_criterion2(
     gauge via gauge_for(j), following the per-index gauge construction; the
     acceptance band is 2*eps, the bound the triangle inequality yields.
     """
-    if eps <= 0.0 or trials < 1:
-        raise ValueError("eps > 0 and trials >= 1 required")
+    if not (math.isfinite(eps) and eps > 0.0) or trials < 1:
+        raise ValueError("finite eps > 0 and trials >= 1 required")
     for j in j_list:
         if j <= q:
             raise IndexBelowQ(f"index {j} not above q = {q}")
-    violations = 0
-    worst = 0.0
-    total = 0
+    devs = []
     for jn, j in enumerate(j_list):
         gauge = gauge_for(int(j))
         fj = fam.member(int(j))
@@ -193,26 +193,14 @@ def check_criterion2(
             _random_partition(fam.domain, gauge, [seed, 3, jn, t], max_depth)
             for t in range(trials)
         ]
-        for p in parts:
-            s = riemann_sum(fj, p)
-            dev = abs(alpha2 - s)
-            worst = max(worst, dev)
-            violations += dev >= 2.0 * eps
-            total += 1
-    return CriterionReport(
-        alpha=alpha2,
-        epsilon=eps,
-        trials=total,
-        violations=violations,
-        worst_deviation=worst,
-        passed=violations == 0,
-    )
+        devs += [abs(alpha2 - riemann_sum(fj, p)) for p in parts]
+    return _report(alpha2, eps, 2.0 * eps, devs)
 
 
 def check_criterion3(alpha1: float, alpha2: float, tol: float) -> bool:
     """True iff the two limits agree within tol: then limit and integral
     interchange, i.e. the integral of the limit equals the limit of the
     integrals."""
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     return abs(alpha1 - alpha2) <= tol

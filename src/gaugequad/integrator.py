@@ -202,7 +202,7 @@ def gauge_integrate(
         except DepthExceeded:
             if last is None:
                 raise
-            return last
+            break
         lo, hi = min(sums), max(sums)
         spread = hi - lo
         last = IntegralEstimate(
@@ -212,14 +212,10 @@ def gauge_integrate(
             trials=trials,
             converged=spread <= tol,
         )
-        if last.converged:
-            return last
-        if len(base) > _MAX_CELLS:
-            return IntegralEstimate(
-                last.value, last.spread, last.cells_used, trials, False
-            )
+        if last.converged or len(base) > _MAX_CELLS:
+            break
         eps *= 0.5
-    return IntegralEstimate(last.value, last.spread, last.cells_used, trials, False)
+    return last
 
 
 def riemann_unboundedness_witness(

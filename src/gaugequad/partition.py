@@ -34,7 +34,17 @@ DEFAULT_MAX_DEPTH = 64
 #: Slack allowed between the accumulated cell lengths and the domain length.
 _LENGTH_SUM_ULPS = 8
 
-_PERMUTATIONS = np.array(list(itertools.permutations(range(3))), dtype=np.intp)
+#: _FIRST[perm, bits] is the first candidate (0 left, 1 mid, 2 right) in
+#: trial order `perm` whose bit is set in the 3-bit fineness code `bits`, or
+#: 3 when none is.  perm indexes itertools.permutations(range(3)); 0 is the
+#: fixed order (left, mid, right).
+_FIRST = np.array(
+    [
+        [next((c for c in order if bits >> c & 1), 3) for bits in range(8)]
+        for order in itertools.permutations(range(3))
+    ],
+    dtype=np.intp,
+)
 
 
 @dataclass(frozen=True)
@@ -165,49 +175,44 @@ def _build_fine(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared bisection engine behind both partition constructors.
 
-    Keeps a frontier of pending cells per depth level.  A cell [u, v] is
-    accepted as soon as one of its candidate tags {u, mid, v} covers it
-    (both one-sided gaps below delta(candidate)); otherwise it is bisected.
-    With rng=None the bisection point is the exact midpoint and candidates
-    are tried in the fixed order (left, mid, right); with an rng the split
-    point is uniform in the middle half and the candidate order is a
-    per-cell random permutation.
+    Keeps a frontier of pending cells [u, v] per depth level, with the gauge
+    values at u and v carried down from the level that created them, so the
+    gauge is called once on [a], once on [b] and once per level on the new
+    split points.  A cell is accepted as soon as one of its candidate tags
+    {u, mid, v} covers it (both one-sided gaps below delta(candidate));
+    otherwise it is bisected.  The tags at u and v leave gaps (0, v - u) and
+    (v - u, 0), so each cell's three tests form a 3-bit code and the tag is
+    the first covering candidate in trial order, read from `_FIRST`.  With
+    rng=None the split point is the exact midpoint and candidates are tried
+    in the fixed order (left, mid, right); with an rng the split point is
+    uniform in the middle half and the trial order is a per-cell random
+    permutation.
     """
     U = np.array([domain.a])
     V = np.array([domain.b])
+    dU = g.eval_many(U)
+    dV = g.eval_many(V)
     acc_t: list[np.ndarray] = []
     acc_u: list[np.ndarray] = []
     acc_v: list[np.ndarray] = []
 
     for depth in range(max_depth + 1):
-        if U.size == 0:
-            break
         span = V - U
         if rng is None:
             M = 0.5 * (U + V)
-            order = np.broadcast_to(_PERMUTATIONS[0], (U.size, 3))
+            perm = 0
         else:
             M = U + span * rng.uniform(0.25, 0.75, U.size)
-            order = _PERMUTATIONS[rng.integers(0, 6, U.size)]
-        candidates = np.stack([U, M, V], axis=1)
-        rows = np.arange(U.size)
-
-        tag = np.empty(U.size)
-        taken = np.zeros(U.size, dtype=bool)
-        for slot in range(3):
-            c = candidates[rows, order[:, slot]]
-            d = g.eval_many(c)
-            ok = ~taken & (c - U < d) & (V - c < d)
-            tag[ok] = c[ok]
-            taken |= ok
-
-        if taken.any():
-            acc_t.append(tag[taken])
-            acc_u.append(U[taken])
-            acc_v.append(V[taken])
+            perm = rng.integers(0, 6, U.size)
+        dM = g.eval_many(M)
+        fine_mid = (M - U < dM) & (V - M < dM)
+        first = _FIRST[perm, (span < dU) | fine_mid << 1 | (span < dV) << 2]
+        taken = first < 3
+        acc_t.append(np.choose(first[taken], (U[taken], M[taken], V[taken])))
+        acc_u.append(U[taken])
+        acc_v.append(V[taken])
         pending = ~taken
         if not pending.any():
-            U = V = np.empty(0)
             break
         if depth == max_depth:
             raise DepthExceeded(
@@ -221,8 +226,9 @@ def _build_fine(
                 "bisection reached adjacent floats without acceptance; "
                 "gauge is unrepresentable there"
             )
-        U = np.concatenate([Up, Mp])
-        V = np.concatenate([Mp, Vp])
+        dMp = dM[pending]
+        U, dU = np.concatenate([Up, Mp]), np.concatenate([dU[pending], dMp])
+        V, dV = np.concatenate([Mp, Vp]), np.concatenate([dMp, dV[pending]])
 
     tags = np.concatenate(acc_t)
     lefts = np.concatenate(acc_u)

@@ -300,14 +300,37 @@ def test_criterion2_is_deterministic():
     )
 
 
+def criterion1_at(eps):
+    return check_criterion1(
+        paper_family(), smooth_gauge_family(), osc.index_selector(),
+        alpha1=100.0, eps=eps, trials=1, index_headroom=1, seed=0,
+    )
+
+
+def criterion2_at(eps):
+    return check_criterion2(
+        paper_family(), gauge_for=lambda j: const_gauge(0.1),
+        alpha2=100.0, eps=eps, q=1, j_list=[2], trials=1, seed=0,
+    )
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("check", [criterion1_at, criterion2_at])
+def test_criteria_reject_nonfinite_or_nonpositive_eps(check, eps):
+    # a nan band compares false, so every sum against alpha 100 would pass
+    with pytest.raises(ValueError):
+        check(eps)
+
+
 # ------------------------------------------------------- check_criterion3
 
 def test_criterion3_cases():
     assert check_criterion3(SIN1, SIN1, 1e-12)
     assert not check_criterion3(SIN1, 0.8, 1e-3)
     assert check_criterion3(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        check_criterion3(0.0, 0.0, -1e-9)
+    for bad in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            check_criterion3(0.0, 0.0, bad)
 
 
 # ------------------------------------------------- per-point fallback
