@@ -157,6 +157,8 @@ def cmd_integrate(ns) -> int:
         raise _UsageError("integrate fj requires --j")
     if ns.j is not None and ns.j < 1:
         raise _UsageError("--j must be >= 1")
+    if ns.j is not None and ns.function != "fj":
+        raise _UsageError("--j applies only to integrate fj")
 
     if ns.function == "F-defect":
         # defect of the primitive increment against one cousin Riemann sum
@@ -347,10 +349,7 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         return _COMMANDS[ns.command](ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GaugeQuadError as exc:
+    except (_UsageError, GaugeQuadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -179,8 +179,8 @@ def check_criterion2(
     gauge via gauge_for(j), following the per-index gauge construction; the
     acceptance band is 2*eps, the bound the triangle inequality yields.
     """
-    if not (math.isfinite(eps) and eps > 0.0) or trials < 1:
-        raise ValueError("finite eps > 0 and trials >= 1 required")
+    if not (math.isfinite(eps) and eps > 0.0) or trials < 1 or len(j_list) == 0:
+        raise ValueError("finite eps > 0, trials >= 1 and a non-empty j_list required")
     for j in j_list:
         if j <= q:
             raise IndexBelowQ(f"index {j} not above q = {q}")

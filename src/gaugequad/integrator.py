@@ -139,9 +139,8 @@ def stieltjes_sum(
     With g = identity the increments reduce to the cell lengths and the
     result equals riemann_sum bitwise (same values, same summation order).
     """
-    g_right = _eval_values(g, p.rights)
-    g_left = _eval_values(g, p.lefts)
-    return _dot(_eval_values(f, p.tags), g_right - g_left, compensated)
+    increments = np.diff(_eval_values(g, p.points))
+    return _dot(_eval_values(f, p.tags), increments, compensated)
 
 
 def sum_defect(F: RealFunction, f: RealFunction, p: TaggedPartition) -> float:
@@ -264,7 +263,7 @@ def riemann_unboundedness_witness(
             t0 = float(cand[hit[0]])
             new_tags = tags.copy()
             new_tags[0] = t0
-            return TaggedPartition(domain, new_tags, lefts, rights)
+            return TaggedPartition(new_tags, edges)
         probes_left -= cand.size
         offset = float(offs[-1]) * ratio
     raise WitnessNotFound(

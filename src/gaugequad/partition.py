@@ -1,7 +1,8 @@
 """Intervals, tagged partitions, gauges, and fineness machinery.
 
 A gauge is a strictly positive function delta(x) on an interval.  A tagged
-partition {(x_i, [u_{i-1}, u_i])} is delta-fine when every cell satisfies
+partition {(x_i, [u_{i-1}, u_i])} is held as its division points
+u_0 < ... < u_n and its n tags, and is delta-fine when every cell satisfies
 x_i - u_{i-1} < delta(x_i) and u_i - x_i < delta(x_i).  Fine partitions
 always exist on a compact interval (Cousin's lemma); `cousin_partition`
 constructs one by deterministic bisection and `random_delta_fine_partition`
@@ -31,9 +32,6 @@ __all__ = [
 #: [0, 1], so hitting it means the gauge demands unrepresentable cells.
 DEFAULT_MAX_DEPTH = 64
 
-#: Slack allowed between the accumulated cell lengths and the domain length.
-_LENGTH_SUM_ULPS = 8
-
 #: _FIRST[perm, bits] is the first candidate (0 left, 1 mid, 2 right) in
 #: trial order `perm` whose bit is set in the 3-bit fineness code `bits`, or
 #: 3 when none is.  perm indexes itertools.permutations(range(3)); 0 is the
@@ -55,8 +53,10 @@ class Interval:
     b: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(
+                f"interval endpoints and length must be finite, got [{self.a}, {self.b}]"
+            )
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
 
@@ -107,45 +107,43 @@ class Gauge:
 
 
 class TaggedPartition:
-    """An ordered, exactly-abutting tagged partition of a compact interval.
+    """An ordered tagged partition of a compact interval, held as its points.
 
-    Cells are held as flat arrays (tags, lefts, rights) so million-cell
-    partitions stay cheap.  A tag may sit on either endpoint of its cell.
+    Cell i is [points[i], points[i + 1]] with tags[i] inside (either end
+    allowed), so cells abut and span [points[0], points[-1]] by
+    construction.  The cell lengths telescope: each rounded difference is
+    positive with relative error below 2**-53, so their fsum is within two
+    ulps of domain.length, inside the 8-ulp slack the tests assert.
     Instances are immutable after construction.
     """
 
-    __slots__ = ("domain", "tags", "lefts", "rights")
+    __slots__ = ("domain", "tags", "points")
 
-    def __init__(self, domain: Interval, tags, lefts, rights) -> None:
+    def __init__(self, tags, points) -> None:
         tags = np.ascontiguousarray(tags, dtype=float)
-        lefts = np.ascontiguousarray(lefts, dtype=float)
-        rights = np.ascontiguousarray(rights, dtype=float)
-        if not (tags.ndim == 1 and tags.shape == lefts.shape == rights.shape):
-            raise ValueError("tags, lefts, rights must be equal-length 1-d arrays")
+        points = np.ascontiguousarray(points, dtype=float)
+        if not (tags.ndim == 1 and points.shape == (tags.size + 1,)):
+            raise ValueError("need 1-d tags and 1-d points with one more entry")
         if tags.size == 0:
             raise ValueError("partition must contain at least one cell")
-        if not np.all(np.isfinite(tags)):
-            raise ValueError("tags must be finite")
-        if not np.all(lefts < rights):
+        domain = Interval(float(points[0]), float(points[-1]))
+        if not np.all(points[:-1] < points[1:]):
             raise ValueError("every cell must have positive length")
-        if not np.all((lefts <= tags) & (tags <= rights)):
+        if not np.all((points[:-1] <= tags) & (tags <= points[1:])):
             raise ValueError("every tag must lie inside its cell")
-        if lefts[0] != domain.a or rights[-1] != domain.b:
-            raise ValueError("partition must span the domain exactly")
-        if not np.all(rights[:-1] == lefts[1:]):
-            raise ValueError("consecutive cells must abut exactly")
-        total = math.fsum(rights - lefts)
-        slack = _LENGTH_SUM_ULPS * math.ulp(max(abs(total), abs(domain.length)))
-        if abs(total - domain.length) > slack:
-            raise ValueError(
-                f"cell lengths sum to {total}, domain length is {domain.length}"
-            )
-        for arr in (tags, lefts, rights):
-            arr.setflags(write=False)
+        tags.setflags(write=False)
+        points.setflags(write=False)
         self.domain = domain
         self.tags = tags
-        self.lefts = lefts
-        self.rights = rights
+        self.points = points
+
+    @property
+    def lefts(self) -> np.ndarray:
+        return self.points[:-1]
+
+    @property
+    def rights(self) -> np.ndarray:
+        return self.points[1:]
 
     @property
     def lengths(self) -> np.ndarray:
@@ -172,7 +170,7 @@ def _build_fine(
     g: Gauge,
     max_depth: int,
     rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Shared bisection engine behind both partition constructors.
 
     Keeps a frontier of pending cells [u, v] per depth level, with the gauge
@@ -186,7 +184,8 @@ def _build_fine(
     rng=None the split point is the exact midpoint and candidates are tried
     in the fixed order (left, mid, right); with an rng the split point is
     uniform in the middle half and the trial order is a per-cell random
-    permutation.
+    permutation.  Returns (tags, points): accepted cells tile [a, b], so
+    their left ends are distinct and sorting them gives every point but b.
     """
     U = np.array([domain.a])
     V = np.array([domain.b])
@@ -194,7 +193,6 @@ def _build_fine(
     dV = g.eval_many(V)
     acc_t: list[np.ndarray] = []
     acc_u: list[np.ndarray] = []
-    acc_v: list[np.ndarray] = []
 
     for depth in range(max_depth + 1):
         span = V - U
@@ -210,7 +208,6 @@ def _build_fine(
         taken = first < 3
         acc_t.append(np.choose(first[taken], (U[taken], M[taken], V[taken])))
         acc_u.append(U[taken])
-        acc_v.append(V[taken])
         pending = ~taken
         if not pending.any():
             break
@@ -232,9 +229,8 @@ def _build_fine(
 
     tags = np.concatenate(acc_t)
     lefts = np.concatenate(acc_u)
-    rights = np.concatenate(acc_v)
-    idx = np.argsort(lefts, kind="stable")
-    return tags[idx], lefts[idx], rights[idx]
+    idx = np.argsort(lefts)
+    return tags[idx], np.append(lefts[idx], domain.b)
 
 
 def cousin_partition(
@@ -275,5 +271,4 @@ def _fine_partition(
     """Body of both constructors; rng=None selects the deterministic rule."""
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    tags, lefts, rights = _build_fine(domain, g, max_depth, rng)
-    return TaggedPartition(domain, tags, lefts, rights)
+    return TaggedPartition(*_build_fine(domain, g, max_depth, rng))

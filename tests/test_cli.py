@@ -71,6 +71,10 @@ def test_integrate_rejects_bad_config(capsys):
     assert run(capsys, ["integrate", "f", "--trials", "1"])[0] == 1
     assert run(capsys, ["integrate", "f", "--max-depth", "4"])[0] == 1
     assert run(capsys, ["integrate", "f", "--max-depth", "200"])[0] == 1
+    for function in ("poly-2", "f", "F-defect"):
+        assert run(capsys, ["integrate", function, "--tol", "1e-4", "--j", "7"]) == (
+            1, "", "error: --j applies only to integrate fj\n"
+        )
     for value in ("nan", "inf"):
         for argv in (["integrate", "f"], ["integrate", "F-defect"], ["demo"]):
             assert run(capsys, argv + ["--tol", value]) == (

@@ -283,6 +283,21 @@ def test_criterion2_rejects_index_at_or_below_q():
         )
 
 
+def test_criterion2_rejects_empty_j_list():
+    # no index means no sampled sum: a report with trials=0 would pass
+    with pytest.raises(ValueError, match="non-empty j_list"):
+        check_criterion2(
+            paper_family(),
+            gauge_for=lambda j: const_gauge(0.1),
+            alpha2=123.0,
+            eps=1e-2,
+            q=1,
+            j_list=[],
+            trials=2,
+            seed=0,
+        )
+
+
 def test_criterion2_is_deterministic():
     eps = 1e-2
     q = math.ceil(1.0 / math.sqrt(eps))

@@ -2,8 +2,9 @@
 
 `reference_build_fine` is the earlier engine, verbatim apart from its name:
 it evaluated all three candidate tags of every frontier cell at every level.
-The one-pass engine must build byte-identical partitions for both rules, so
-seeded results and golden CLI output stay unchanged.
+The one-pass engine, which returns (tags, points), must build partitions
+byte-identical to its (tags, lefts, rights) for both rules, so seeded results
+and golden CLI output stay unchanged.
 """
 import itertools
 import math
@@ -148,9 +149,9 @@ def test_engine_matches_reference_bytewise(case, seed):
     def rng():
         return None if seed is None else np.random.default_rng(seed)
 
-    new = _build_fine(domain, g, 64, rng())
+    tags, points = _build_fine(domain, g, 64, rng())
     old = reference_build_fine(domain, g, 64, rng())
-    for got, want in zip(new, old):
+    for got, want in zip((tags, points[:-1], points[1:]), old):
         assert got.tobytes() == want.tobytes()
 
 
@@ -170,11 +171,10 @@ def test_partitions_are_fine_abutting_ordered_and_seed_deterministic(
     for s in (None, seed):
         p, q = build(domain, g, s), build(domain, g, s)
         assert is_delta_fine(p, g)
-        assert p.lefts[0] == domain.a and p.rights[-1] == domain.b
-        assert np.array_equal(p.rights[:-1], p.lefts[1:])
+        assert p.domain == domain
         assert np.all(p.lefts < p.rights)
         assert np.all((p.lefts <= p.tags) & (p.tags <= p.rights))
-        for arr in ("tags", "lefts", "rights"):
+        for arr in ("tags", "points"):
             assert getattr(p, arr).tobytes() == getattr(q, arr).tobytes()
 
 

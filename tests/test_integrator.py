@@ -22,7 +22,7 @@ from gaugequad import oscillator as osc
 
 from conftest import const_gauge
 
-HALVES = TaggedPartition(Interval(0.0, 1.0), [0.25, 0.75], [0.0, 0.5], [0.5, 1.0])
+HALVES = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
 
 
 # ------------------------------------------------------------ riemann_sum
@@ -32,9 +32,7 @@ def test_riemann_sum_identity_function():
 
 
 def test_riemann_sum_constant_telescopes():
-    p = TaggedPartition(
-        Interval(0.2, 1.7), [0.3, 0.9, 1.5], [0.2, 0.8, 1.2], [0.8, 1.2, 1.7]
-    )
+    p = TaggedPartition([0.3, 0.9, 1.5], [0.2, 0.8, 1.2, 1.7])
     assert riemann_sum(lambda x: 3.0 + 0.0 * np.asarray(x), p) == pytest.approx(
         3.0 * 1.5, rel=1e-15
     )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugequad import (
     DepthExceeded,
@@ -25,37 +27,48 @@ def test_interval_requires_order_and_finiteness():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
-    with pytest.raises(ValueError):
-        Interval(0.0, math.inf)
+    for a, b in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            Interval(a, b)
+    # finite end points whose length b - a overflows to inf
+    with pytest.raises(ValueError, match="length must be finite"):
+        Interval(-1e308, 1e308)
 
 
 def test_partition_validates_cover_and_abutment():
-    dom = Interval(0.0, 1.0)
-    TaggedPartition(dom, [0.25, 0.75], [0.0, 0.5], [0.5, 1.0])
-    # gap between cells
-    with pytest.raises(ValueError):
-        TaggedPartition(dom, [0.2, 0.8], [0.0, 0.6], [0.5, 1.0])
-    # does not span the domain
-    with pytest.raises(ValueError):
-        TaggedPartition(dom, [0.2, 0.6], [0.0, 0.5], [0.5, 0.9])
-    # zero-length cell
-    with pytest.raises(ValueError):
-        TaggedPartition(dom, [0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
-    # tag outside its cell
-    with pytest.raises(ValueError):
-        TaggedPartition(dom, [0.75, 0.75], [0.0, 0.5], [0.5, 1.0])
+    # cells abut and span [points[0], points[-1]] by construction
+    p = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
+    assert p.domain == Interval(0.0, 1.0)
+    assert p.lefts.tolist() == [0.0, 0.5] and p.rights.tolist() == [0.5, 1.0]
+    bad = {
+        "zero-length cell": ([0.5, 0.5], [0.0, 0.5, 0.5]),
+        "non-increasing points": ([0.3, 0.55, 0.8], [0.0, 0.6, 0.5, 1.0]),
+        "too few points": ([0.25, 0.75], [0.0, 0.5]),
+        "too many points": ([0.25], [0.0, 0.5, 1.0]),
+        "no cell": ([], [0.0]),
+        "nan point": ([0.25, 0.75], [0.0, math.nan, 1.0]),
+        "infinite end point": ([0.25], [0.0, math.inf]),
+        "nan tag": ([math.nan, 0.75], [0.0, 0.5, 1.0]),
+        "infinite tag": ([0.25, math.inf], [0.0, 0.5, 1.0]),
+        "tag outside its cell": ([0.75, 0.75], [0.0, 0.5, 1.0]),
+    }
+    for case, (tags, points) in bad.items():
+        with pytest.raises(ValueError):
+            TaggedPartition(tags, points)
+            pytest.fail(case)
 
 
 def test_partition_arrays_are_readonly():
-    p = TaggedPartition(Interval(0.0, 1.0), [0.25, 0.75], [0.0, 0.5], [0.5, 1.0])
-    with pytest.raises(ValueError):
-        p.tags[0] = 0.1
+    p = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
+    for arr in (p.tags, p.points, p.lefts, p.rights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.1
 
 
 # ---------------------------------------------------------- is_delta_fine
 
 def test_fineness_half_partition_against_constant_gauge():
-    p = TaggedPartition(Interval(0.0, 1.0), [0.25, 0.75], [0.0, 0.5], [0.5, 1.0])
+    p = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
     assert is_delta_fine(p, const_gauge(0.6))
     assert not is_delta_fine(p, const_gauge(0.25))  # 0.25 < 0.25 fails strictly
 
@@ -63,12 +76,12 @@ def test_fineness_half_partition_against_constant_gauge():
 def test_fineness_is_strict_one_sided():
     # single cell [0.05, 0.2] tagged at 0.1 against delta(x) = x/2:
     # 0.2 - 0.1 = 0.1 >= delta(0.1) = 0.05
-    p = TaggedPartition(Interval(0.05, 0.2), [0.1], [0.05], [0.2])
+    p = TaggedPartition([0.1], [0.05, 0.2])
     assert not is_delta_fine(p, Gauge(lambda x: x / 2))
 
 
 def test_fineness_reports_invalid_gauge():
-    p = TaggedPartition(Interval(0.0, 1.0), [0.25, 0.75], [0.0, 0.5], [0.5, 1.0])
+    p = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
     with pytest.raises(InvalidGauge):
         is_delta_fine(p, Gauge(lambda x: x - 0.5))  # zero/negative at tags
     with pytest.raises(InvalidGauge):
@@ -176,3 +189,34 @@ def test_lengths_sum_within_eight_ulps():
         p = cousin_partition(Interval(0.0, 1.0), const_gauge(c))
         total = math.fsum(p.lengths)
         assert abs(total - 1.0) <= 8 * math.ulp(1.0)
+
+
+# Finite points over wide exponents and of mixed sign, bounded so that the
+# domain length stays finite; runs of adjacent subnormals give subnormal gaps.
+_WIDE = st.floats(-1e307, 1e307, allow_nan=False, allow_infinity=False)
+_SUBNORMAL = st.integers(-2**20, 2**20).map(lambda k: k * 5e-324)
+
+
+@st.composite
+def points_and_tags(draw):
+    xs = draw(st.lists(st.one_of(_WIDE, _SUBNORMAL), min_size=2, max_size=40))
+    points = np.unique(np.array(xs, dtype=float))
+    if points.size < 2:
+        points = np.append(points, np.nextafter(points[-1], math.inf))
+    frac = np.array(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=points.size - 1, max_size=points.size - 1
+    )))
+    lefts, rights = points[:-1], points[1:]
+    tags = np.clip(lefts + frac * (rights - lefts), lefts, rights)
+    return tags, points
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(points_and_tags())
+def test_lengths_telescope_for_any_points(tp):
+    # the partition stores no domain length to check against: the sum of
+    # the rounded cell lengths must telescope to it within 8 ulps
+    p = TaggedPartition(*tp)
+    total = math.fsum(p.lengths)
+    ulp = math.ulp(max(abs(total), abs(p.domain.length)))
+    assert abs(total - p.domain.length) <= 8 * ulp
