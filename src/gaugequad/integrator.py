@@ -83,6 +83,27 @@ class GaugeFamily:
     at: Callable[[float], Gauge]
 
 
+def _family(delta: Callable[[np.ndarray, float], np.ndarray]) -> GaugeFamily:
+    """The family whose gauge at eps is the array kernel delta(x, eps).
+
+    This is the one eps check of every family: eps must be finite and
+    positive.  The kernel gets x as a 1-d float array; the gauge returns
+    x's shape, so a scalar x gives a 0-d array.
+    """
+
+    def at(eps: float) -> Gauge:
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+
+        def gauge(x):
+            x = np.asarray(x, dtype=float)
+            return delta(x.ravel(), eps).reshape(x.shape)
+
+        return Gauge(gauge)
+
+    return GaugeFamily(at)
+
+
 def smooth_gauge_family(scale: float = 1.0) -> GaugeFamily:
     """Constant-gauge family delta_eps = scale * eps**(2/3).
 
@@ -91,14 +112,9 @@ def smooth_gauge_family(scale: float = 1.0) -> GaugeFamily:
     O(delta**1.5) = O(eps) and the family converges at or near its first
     level.
     """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-
-    def at(eps: float) -> Gauge:
-        d = scale * eps ** (2.0 / 3.0)
-        return Gauge(lambda x, _d=d: np.full_like(np.asarray(x, dtype=float), _d))
-
-    return GaugeFamily(at)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+    return _family(lambda x, eps: np.full_like(x, scale * eps ** (2.0 / 3.0)))
 
 
 def _eval_values(f: RealFunction, xs: np.ndarray) -> np.ndarray:
@@ -117,10 +133,21 @@ def _dot(values: np.ndarray, weights: np.ndarray, compensated: bool) -> float:
     depends on the BLAS kernel and thread count, so its last bits can vary
     between machines and thread settings.  With compensated=True the
     products are accumulated exactly via fsum, independent of order.
+    Finite terms whose products or sum leave the float range raise
+    NonFiniteValue on both paths.
     """
-    if compensated:
-        return math.fsum(values * weights)
-    return float(values @ weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if compensated:
+            products = values * weights
+            try:
+                total = math.fsum(products)
+            except (OverflowError, ValueError):  # intermediate overflow; inf - inf
+                total = math.nan
+        else:
+            total = float(values @ weights)
+    if not math.isfinite(total):
+        raise NonFiniteValue(f"sum leaves the float range: {total}")
+    return total
 
 
 def riemann_sum(f: RealFunction, p: TaggedPartition, compensated: bool = False) -> float:

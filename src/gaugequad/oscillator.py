@@ -25,7 +25,7 @@ import numpy as np
 
 from .criteria import IndexSelector, IntegrandFamily
 from .errors import DomainError
-from .integrator import GaugeFamily
+from .integrator import GaugeFamily, _family
 from .partition import Gauge, Interval
 
 __all__ = [
@@ -141,53 +141,44 @@ def loop_area_estimate(n):
     return float(out) if out.ndim == 0 else out
 
 
+def _bracket(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots r(k) and r(k + 1) for an index array k, reading r(0) as +inf."""
+    rk = loop_root(k)
+    rk[k == 0.0] = math.inf
+    return rk, loop_root(k + 1.0)
+
+
 def _tent_delta(x: np.ndarray, eps_scale: float) -> np.ndarray:
     """Structural loop gauge on an array of points.
 
-    Between adjacent roots: half the distance to the nearer root.  At a
-    root: half of min(root, gap to the next smaller root).  At 0 (and as a
-    cap everywhere): eps_scale.  An 8-ulp floor keeps the rule
-    representable right next to root floats.
+    Every x > 0 lies in one bracket r(k + 1) <= x <= r(k), where r(0) is
+    +inf, so x >= r1 is the bracket k = 0.  Inside a bracket: half the
+    distance to the nearer root.  At a root r(n): half of
+    min(r(n), r(n) - r(n + 1)).  At 0 (and as a cap everywhere):
+    eps_scale.  An 8-ulp floor keeps the rule representable right next to
+    root floats.
     """
-    out = np.full_like(x, eps_scale)
-    r1 = loop_root(1)
-
-    pos = (x > 0.0) & (x < r1)
-    if pos.any():
-        xp = x[pos]
-        k = np.floor(1.0 / (xp * xp) / math.pi - 0.5)
-        k = np.maximum(k, 1.0)
-        rk = loop_root(k)
-        k = np.where(rk < xp, np.maximum(k - 1.0, 1.0), k)
-        rk = loop_root(k)
-        rk1 = loop_root(k + 1.0)
-        shift = rk1 > xp
-        if shift.any():
-            k = np.where(shift, k + 1.0, k)
-            rk = loop_root(k)
-            rk1 = loop_root(k + 1.0)
-        n_at = np.where(xp == rk, k, k + 1.0)
-        at_root = (xp == rk) | (xp == rk1)
-        r_at = loop_root(n_at)
-        s = np.where(
-            at_root,
-            0.5 * np.minimum(r_at, r_at - loop_root(n_at + 1.0)),
-            0.5 * np.minimum(xp - rk1, rk - xp),
-        )
-        s = np.maximum(s, 8.0 * np.spacing(xp))
-        out[pos] = np.minimum(eps_scale, s)
-
-    hi = x >= r1
-    if hi.any():
-        xh = x[hi]
-        s = np.where(
-            xh == r1,
-            0.5 * np.minimum(r1, r1 - loop_root(2)),
-            0.5 * (xh - r1),
-        )
-        s = np.maximum(s, 8.0 * np.spacing(xh))
-        out[hi] = np.minimum(eps_scale, s)
-    return out
+    # near and below x = 1e-154, x*x underflows and 1/(x*x) and the root
+    # index overflow to inf: r(k) is then 0 and the ulp floor decides
+    with np.errstate(divide="ignore", over="ignore"):
+        k = np.maximum(np.floor(1.0 / (x * x) / math.pi - 0.5), 0.0)
+        rk, rk1 = _bracket(k)
+        # within an ulp of a root the closed-form index can miss by one
+        off = (rk < x) | (rk1 > x)
+        if off.any():
+            xo, ko = x[off], k[off]
+            ko = np.where(rk[off] < xo, np.maximum(ko - 1.0, 0.0), ko)
+            ko = np.where(loop_root(ko + 1.0) > xo, ko + 1.0, ko)
+            k[off] = ko
+            rk[off], rk1[off] = _bracket(ko)
+        s = 0.5 * np.minimum(x - rk1, rk - x)
+        at_root = (x == rk) | (x == rk1)
+        if at_root.any():
+            n = np.where(x[at_root] == rk[at_root], k[at_root], k[at_root] + 1.0)
+            r = loop_root(n)
+            s[at_root] = 0.5 * np.minimum(r, r - loop_root(n + 1.0))
+        s = np.maximum(s, 8.0 * np.spacing(x))
+    return np.where(x > 0.0, np.minimum(eps_scale, s), eps_scale)
 
 
 def loop_gauge(eps_scale: float) -> Gauge:
@@ -196,17 +187,10 @@ def loop_gauge(eps_scale: float) -> Gauge:
     Any partition fine for this gauge keeps every positively-tagged cell
     inside a single loop (up to the ulp-level floor) and must carry exactly
     one cell tagged at 0, which is how ordered loop-by-loop cancellation of
-    the unbounded oscillation is enforced.
+    the unbounded oscillation is enforced.  eps_scale must be finite and
+    positive.
     """
-    if eps_scale <= 0.0:
-        raise ValueError("eps_scale must be positive")
-
-    def delta(x):
-        arr, scalar = _as_array(x)
-        out = _tent_delta(arr, eps_scale)
-        return float(out) if scalar else out
-
-    return Gauge(delta)
+    return _family(_tent_delta).at(eps_scale)
 
 
 def loop_gauge_family() -> GaugeFamily:
@@ -218,56 +202,32 @@ def loop_gauge_family() -> GaugeFamily:
     tag-0 cell's own contribution |F(len)| <= len^2 against eps.
     """
 
-    def at(eps: float) -> Gauge:
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
+    def delta(x, eps):
         h = math.sqrt(0.5 * eps)
+        tent = np.minimum(_tent_delta(x, h), 2.0 * eps * x * x * x)
+        return np.where(x > 0.0, np.maximum(tent, _REL_FLOOR * x), h)
 
-        def delta(x, _h=h, _eps=eps):
-            arr, scalar = _as_array(x)
-            tent = _tent_delta(arr, _h)
-            cube = 2.0 * _eps * arr * arr * arr
-            out = np.where(
-                arr > 0.0,
-                np.maximum(np.minimum(tent, cube), _REL_FLOOR * arr),
-                _h,
-            )
-            return float(out) if scalar else out
-
-        return Gauge(delta)
-
-    return GaugeFamily(at)
+    return _family(delta)
 
 
 def truncated_gauge_family(j: int) -> GaugeFamily:
-    """Per-index family for integrating f_j.
+    """Per-index family for integrating f_j; j must be finite and >= 1.
 
     Coarse below the jump at 1/j (where f_j vanishes), packing toward the
     jump like half the remaining distance; above it, an x^2-scaled rule
     tuned so sampled-sum noise stays below eps/4.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    if not (math.isfinite(j) and j >= 1):
+        raise ValueError(f"j must be finite and >= 1, got {j}")
     jump = 1.0 / j
 
-    def at(eps: float) -> Gauge:
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
+    def delta(x, eps):
         a = 0.31 * eps ** (2.0 / 3.0) / j ** (1.0 / 3.0)
         lid = min(0.25 * jump, 0.5 * math.sqrt(eps))
+        out = np.where(x < jump, np.minimum((jump - x) * 0.5, lid), a * x * x)
+        return np.where(x == 0.0, lid, np.maximum(out, _REL_FLOOR * x))
 
-        def delta(x, _a=a, _lid=lid):
-            arr, scalar = _as_array(x)
-            below = np.minimum((jump - arr) * 0.5, _lid)
-            above = _a * arr * arr
-            out = np.where(arr < jump, below, above)
-            out = np.maximum(out, _REL_FLOOR * arr)
-            out[arr == 0.0] = _lid
-            return float(out) if scalar else out
-
-        return Gauge(delta)
-
-    return GaugeFamily(at)
+    return _family(delta)
 
 
 def exact_integral_f() -> float:

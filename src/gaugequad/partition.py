@@ -86,16 +86,14 @@ class Gauge:
     """A strictly positive fineness rule delta(x).
 
     `delta` may be any callable on floats; array-capable callables are
-    exploited for speed but not required.
+    exploited for speed but not required.  A scalar call is one
+    `eval_many` on a one-point array, so values are checked in one place.
     """
 
     delta: Callable
 
     def __call__(self, x: float) -> float:
-        d = float(self.delta(x))
-        if not (math.isfinite(d) and d > 0.0):
-            raise InvalidGauge(f"gauge returned {d} at x={x}")
-        return d
+        return float(self.eval_many(np.array([x], dtype=float))[0])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the gauge on an array of points, validating positivity."""

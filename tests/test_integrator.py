@@ -44,6 +44,25 @@ def test_riemann_sum_rejects_nonfinite_integrand():
             riemann_sum(lambda x: 1.0 / (np.asarray(x, dtype=float) - 0.25), HALVES)
 
 
+@pytest.mark.parametrize("compensated", [False, True])
+@pytest.mark.parametrize(
+    "domain, gauge, f",
+    [
+        # every product is finite, their sum is not
+        (Interval(0.0, 4.0), 1.0, lambda x: 1e308 + 0.0 * np.asarray(x)),
+        # products overflow to +inf and -inf, whose sum is nan
+        (Interval(0.0, 8.0), 4.0, lambda x: np.where(np.asarray(x) < 4.0, 1e308, -1e308)),
+    ],
+    ids=["overflow", "inf-minus-inf"],
+)
+def test_riemann_sum_out_of_range_is_typed(domain, gauge, f, compensated):
+    from gaugequad import cousin_partition
+
+    p = cousin_partition(domain, const_gauge(gauge))
+    with pytest.raises(NonFiniteValue):
+        riemann_sum(f, p, compensated=compensated)
+
+
 def test_riemann_sum_scalar_only_callable_fallback():
     def f(x):
         if hasattr(x, "__len__"):

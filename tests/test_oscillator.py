@@ -10,10 +10,63 @@ from gaugequad import (
     gauge_integrate,
     is_delta_fine,
     random_delta_fine_partition,
+    smooth_gauge_family,
 )
 from gaugequad import oscillator as osc
+from gaugequad.oscillator import loop_root
 
 SIN1 = 0.8414709848078965
+
+
+# The earlier two-branch loop gauge, verbatim apart from its name: one block
+# for 0 < x < r1 and one for x >= r1.  `_tent_delta` must match it bit for bit.
+def reference_tent_delta(x: np.ndarray, eps_scale: float) -> np.ndarray:
+    """Structural loop gauge on an array of points.
+
+    Between adjacent roots: half the distance to the nearer root.  At a
+    root: half of min(root, gap to the next smaller root).  At 0 (and as a
+    cap everywhere): eps_scale.  An 8-ulp floor keeps the rule
+    representable right next to root floats.
+    """
+    out = np.full_like(x, eps_scale)
+    r1 = loop_root(1)
+
+    pos = (x > 0.0) & (x < r1)
+    if pos.any():
+        xp = x[pos]
+        k = np.floor(1.0 / (xp * xp) / math.pi - 0.5)
+        k = np.maximum(k, 1.0)
+        rk = loop_root(k)
+        k = np.where(rk < xp, np.maximum(k - 1.0, 1.0), k)
+        rk = loop_root(k)
+        rk1 = loop_root(k + 1.0)
+        shift = rk1 > xp
+        if shift.any():
+            k = np.where(shift, k + 1.0, k)
+            rk = loop_root(k)
+            rk1 = loop_root(k + 1.0)
+        n_at = np.where(xp == rk, k, k + 1.0)
+        at_root = (xp == rk) | (xp == rk1)
+        r_at = loop_root(n_at)
+        s = np.where(
+            at_root,
+            0.5 * np.minimum(r_at, r_at - loop_root(n_at + 1.0)),
+            0.5 * np.minimum(xp - rk1, rk - xp),
+        )
+        s = np.maximum(s, 8.0 * np.spacing(xp))
+        out[pos] = np.minimum(eps_scale, s)
+
+    hi = x >= r1
+    if hi.any():
+        xh = x[hi]
+        s = np.where(
+            xh == r1,
+            0.5 * np.minimum(r1, r1 - loop_root(2)),
+            0.5 * (xh - r1),
+        )
+        s = np.maximum(s, 8.0 * np.spacing(xh))
+        out[hi] = np.minimum(eps_scale, s)
+    return out
 
 
 # ------------------------------------------------------------ the family
@@ -159,6 +212,90 @@ def test_alternating_series_brackets():
 
 
 # ----------------------------------------------------------------- gauges
+
+def _ulp_neighbours(xs, count):
+    """xs and its first `count` float neighbours on either side."""
+    out, up, down = [xs], xs, xs
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_tent_delta_matches_reference_bitwise():
+    # the single-bracket rule against the earlier two-branch one: roots
+    # n <= 1e5 at +-4 ulps (where the closed-form index is off by one),
+    # r(0), r1 at +-ulps, 0, 1, subnormals and log-uniform points down to
+    # 1e-300, where x*x underflows
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([
+        _ulp_neighbours(osc.loop_root(np.arange(0.0, 100_001.0)), 4),
+        _ulp_neighbours(np.array([osc.loop_root(1)]), 64),
+        [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308],
+        np.exp(rng.uniform(math.log(1e-300), 0.0, 200_000)),
+    ])
+    for eps_scale in (10.0, 0.5, math.sqrt(5e-4), 1e-5):
+        got = osc._tent_delta(xs, eps_scale)
+        with np.errstate(divide="ignore", over="ignore"):
+            want = reference_tent_delta(xs, eps_scale)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_loop_gauge_below_underflow_of_x_squared():
+    # x*x is 0 or subnormal here: the floor 8 ulp(x) is the value, and no
+    # divide or overflow warning escapes (warnings are errors in this suite)
+    xs = np.array([5e-324, 1e-200, 1e-160])
+    got = osc.loop_gauge(1.0).eval_many(xs)
+    assert got.tolist() == (8.0 * np.spacing(xs)).tolist()
+    assert got == pytest.approx([3.95252517e-323, 1.16033421e-215, 1.26349207e-175])
+    with np.errstate(divide="ignore", over="ignore"):
+        assert got.tobytes() == reference_tent_delta(xs, 1.0).tobytes()
+
+
+def test_truncated_gauge_scalar_call_equals_eval_many():
+    g = osc.truncated_gauge_family(64).at(1e-3)
+    assert g(0.3) == 6.975000000000001e-05
+    assert g(0.3) == g.eval_many(np.array([0.3]))[0]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        osc.loop_gauge(0.05),
+        osc.loop_gauge_family().at(1e-3),
+        osc.truncated_gauge_family(64).at(1e-3),
+        smooth_gauge_family().at(1e-3),
+    ],
+    ids=["loop_gauge", "loop_family", "truncated", "smooth"],
+)
+def test_gauge_scalar_and_direct_delta_calls_equal_eval_many(g):
+    xs = np.array([0.0, 0.01, 1.0 / 64, osc.loop_root(3), 0.3, osc.loop_root(1), 1.0])
+    many = g.eval_many(xs)
+    for x, d in zip(xs, many):
+        assert g(float(x)) == d
+        assert g.delta(float(x)).shape == ()
+        assert float(g.delta(float(x))) == d
+    assert g.delta(xs.reshape(7, 1)).shape == (7, 1)
+
+
+BAD_PARAMETERS = [math.nan, math.inf, 0.0, -1.0]
+
+GAUGE_CONSTRUCTORS = {
+    "smooth.at": lambda v: smooth_gauge_family().at(v),
+    "loop_family.at": lambda v: osc.loop_gauge_family().at(v),
+    "truncated.at": lambda v: osc.truncated_gauge_family(8).at(v),
+    "loop_gauge": osc.loop_gauge,
+    "smooth_scale": smooth_gauge_family,
+    "truncated_j": osc.truncated_gauge_family,
+}
+
+
+@pytest.mark.parametrize("value", BAD_PARAMETERS)
+@pytest.mark.parametrize("make", sorted(GAUGE_CONSTRUCTORS))
+def test_gauge_parameters_checked_at_construction(make, value):
+    with pytest.raises(ValueError):
+        GAUGE_CONSTRUCTORS[make](value)
+
 
 def test_loop_gauge_value_at_zero_is_eps_scale():
     for eps in (0.3, 0.05, 1e-3):
