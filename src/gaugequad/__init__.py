@@ -1,9 +1,9 @@
 """gaugequad: the gauge (Riemann-complete) integral on compact intervals.
 
 Tagged partitions and gauges, delta-fine partition constructors, Riemann
-and Stieltjes sums, a spread-converging gauge integrator, the classic
-oscillatory example family with its loop gauges, and empirical checkers
-for the Riemann-sum convergence criteria.
+sums, a spread-converging gauge integrator, the classic oscillatory
+example family with its loop gauges, and empirical checkers for the
+Riemann-sum convergence criteria.
 """
 from .criteria import (
     CriterionReport,
@@ -33,7 +33,6 @@ from .integrator import (
     riemann_sum,
     riemann_unboundedness_witness,
     smooth_gauge_family,
-    stieltjes_sum,
     sum_defect,
 )
 from .partition import (
@@ -76,7 +75,6 @@ __all__ = [
     "riemann_sum",
     "riemann_unboundedness_witness",
     "smooth_gauge_family",
-    "stieltjes_sum",
     "sum_defect",
     "variable_index_sum",
 ]

@@ -4,7 +4,8 @@ Subcommands: integrate (built-in integrand menu), figures (CSV samples of
 the four hallmark curves), loops (root/area table with divergence
 bookkeeping), converge (criterion checkers), demo (headline walkthrough).
 
-Exit codes: 0 success, 1 usage error, 2 non-convergence or failed check.
+Exit codes: 0 success, 1 usage error, 2 non-convergence (including a
+gauge too fine for the bisection depth) or failed check.
 CSV output uses 17 significant digits so doubles round-trip; identical
 configurations (including seed) produce byte-identical output for a fixed
 BLAS thread count.
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import oscillator
 from .criteria import check_criterion1, check_criterion2, check_criterion3
-from .errors import GaugeQuadError
+from .errors import DepthExceeded, GaugeQuadError
 from .integrator import (
     IntegralEstimate,
     gauge_integrate,
@@ -351,7 +352,7 @@ def main(argv=None) -> int:
         return _COMMANDS[ns.command](ns)
     except (_UsageError, GaugeQuadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NOT_CONVERGED if isinstance(exc, DepthExceeded) else EXIT_USAGE
 
 
 if __name__ == "__main__":

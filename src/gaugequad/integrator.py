@@ -1,4 +1,4 @@
-"""Riemann and Stieltjes sums over tagged partitions, and the gauge integral.
+"""Riemann sums over tagged partitions, and the gauge integral.
 
 `gauge_integrate` estimates an integral by driving an accuracy demand eps
 downward through a gauge family, sampling several fine partitions at each
@@ -37,7 +37,6 @@ __all__ = [
     "GaugeFamily",
     "smooth_gauge_family",
     "riemann_sum",
-    "stieltjes_sum",
     "sum_defect",
     "gauge_integrate",
     "riemann_unboundedness_witness",
@@ -153,21 +152,6 @@ def _dot(values: np.ndarray, weights: np.ndarray, compensated: bool) -> float:
 def riemann_sum(f: RealFunction, p: TaggedPartition, compensated: bool = False) -> float:
     """(P) sum of f(tag) * |cell| over the partition, in cell order."""
     return _dot(_eval_values(f, p.tags), p.lengths, compensated)
-
-
-def stieltjes_sum(
-    f: RealFunction,
-    g: RealFunction,
-    p: TaggedPartition,
-    compensated: bool = False,
-) -> float:
-    """Sum of f(tag) * (g(right) - g(left)), the increment-function sum.
-
-    With g = identity the increments reduce to the cell lengths and the
-    result equals riemann_sum bitwise (same values, same summation order).
-    """
-    increments = np.diff(_eval_values(g, p.points))
-    return _dot(_eval_values(f, p.tags), increments, compensated)
 
 
 def sum_defect(F: RealFunction, f: RealFunction, p: TaggedPartition) -> float:

@@ -32,16 +32,17 @@ __all__ = [
 #: [0, 1], so hitting it means the gauge demands unrepresentable cells.
 DEFAULT_MAX_DEPTH = 64
 
-#: _FIRST[perm, bits] is the first candidate (0 left, 1 mid, 2 right) in
-#: trial order `perm` whose bit is set in the 3-bit fineness code `bits`, or
-#: 3 when none is.  perm indexes itertools.permutations(range(3)); 0 is the
-#: fixed order (left, mid, right).
+#: _FIRST[8 * perm + bits] is the first candidate (0 left, 1 mid, 2 right)
+#: in trial order `perm` whose bit is set in the 3-bit fineness code `bits`,
+#: or 3 when none is.  perm indexes itertools.permutations(range(3)); 0 is
+#: the fixed order (left, mid, right).
 _FIRST = np.array(
     [
-        [next((c for c in order if bits >> c & 1), 3) for bits in range(8)]
+        next((c for c in order if bits >> c & 1), 3)
         for order in itertools.permutations(range(3))
+        for bits in range(8)
     ],
-    dtype=np.intp,
+    dtype=np.uint8,
 )
 
 
@@ -171,19 +172,37 @@ def _build_fine(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared bisection engine behind both partition constructors.
 
-    Keeps a frontier of pending cells [u, v] per depth level, with the gauge
-    values at u and v carried down from the level that created them, so the
-    gauge is called once on [a], once on [b] and once per level on the new
-    split points.  A cell is accepted as soon as one of its candidate tags
-    {u, mid, v} covers it (both one-sided gaps below delta(candidate));
-    otherwise it is bisected.  The tags at u and v leave gaps (0, v - u) and
-    (v - u, 0), so each cell's three tests form a 3-bit code and the tag is
-    the first covering candidate in trial order, read from `_FIRST`.  With
-    rng=None the split point is the exact midpoint and candidates are tried
-    in the fixed order (left, mid, right); with an rng the split point is
-    uniform in the middle half and the trial order is a per-cell random
-    permutation.  Returns (tags, points): accepted cells tile [a, b], so
-    their left ends are distinct and sorting them gives every point but b.
+    Frontier.  Each depth level holds its pending cells [U[i], V[i]] with
+    the gauge values dU, dV at their ends, carried down from the level that
+    created them, so the gauge is called once on [a], once on [b] and once
+    per level on the new split points M.  A cell is accepted as soon as one
+    of its candidate tags {u, mid, v} covers it (both one-sided gaps below
+    delta(candidate)); otherwise it is bisected.  The tags at u and v leave
+    gaps (0, v - u) and (v - u, 0), so each cell's three tests form a 3-bit
+    uint8 code and the tag is the first covering candidate in trial order,
+    read from `_FIRST`.  With rng=None the split point is the exact
+    midpoint and candidates are tried in the fixed order (left, mid,
+    right); with an rng the split point is uniform in the middle half and
+    the trial order is a per-cell random permutation, drawn in frontier
+    order.
+
+    Compaction.  The accept mask is turned into index arrays once per
+    level, the accepted positions and the pending ones, and every gather is
+    a `take` on them.  The m pending cells split into the next level's 2m
+    cells laid out as all left children [u, mid] then all right children
+    [mid, v]; each of U, V, dU and dV is allocated once at 2m and its
+    halves are written in place, V's and dV's first half being copies of
+    U's and dU's second.
+
+    Order.  Accepted cells tile [a, b], so their left ends are distinct and
+    sorting them by value gives every point but b.  The tags need no
+    permutation either: in position order tag_i <= right_i = left_{i+1} <=
+    tag_{i+1}, so sorting them by value puts them in position order, and
+    equal tags are equal bytes.  Floats of equal value differ in bytes only
+    as -0.0 and +0.0, and all zero tags are copies of one float: a tag is a
+    division point or the split point of its own cell, the division points
+    strictly increase so at most one is zero, and a split-point tag of zero
+    lies strictly inside its cell, which leaves no division point at zero.
     """
     U = np.array([domain.a])
     V = np.array([domain.b])
@@ -196,39 +215,55 @@ def _build_fine(
         span = V - U
         if rng is None:
             M = 0.5 * (U + V)
-            perm = 0
+            code = np.zeros(U.size, dtype=np.uint8)
         else:
             M = U + span * rng.uniform(0.25, 0.75, U.size)
-            perm = rng.integers(0, 6, U.size)
+            code = rng.integers(0, 6, U.size).astype(np.uint8) << 3
         dM = g.eval_many(M)
-        fine_mid = (M - U < dM) & (V - M < dM)
-        first = _FIRST[perm, (span < dU) | fine_mid << 1 | (span < dV) << 2]
+        code |= (span < dU).view(np.uint8)
+        code |= ((M - U < dM) & (V - M < dM)).view(np.uint8) << 1
+        code |= (span < dV).view(np.uint8) << 2
+        first = _FIRST.take(code)
         taken = first < 3
-        acc_t.append(np.choose(first[taken], (U[taken], M[taken], V[taken])))
-        acc_u.append(U[taken])
-        pending = ~taken
-        if not pending.any():
+        ti = np.flatnonzero(taken)
+        Ut = U.take(ti)
+        acc_t.append(np.choose(first.take(ti), (Ut, M.take(ti), V.take(ti))))
+        acc_u.append(Ut)
+        pi = np.flatnonzero(~taken)
+        m = pi.size
+        if m == 0:
             break
         if depth == max_depth:
             raise DepthExceeded(
-                f"{int(pending.sum())} cells still unacceptable at depth "
+                f"{m} cells still unacceptable at depth "
                 f"{max_depth}; gauge is finer than float spacing allows"
             )
-        Up, Vp, Mp = U[pending], V[pending], M[pending]
-        splittable = (Mp > Up) & (Mp < Vp)
-        if not splittable.all():
+        # pi is in range, so mode="clip" clips nothing; it spares the
+        # buffered copy that take(out=...) makes under the default "raise".
+        Un, Vn, dUn, dVn = (np.empty(2 * m) for _ in range(4))
+        U.take(pi, out=Un[:m], mode="clip")
+        M.take(pi, out=Un[m:], mode="clip")
+        V.take(pi, out=Vn[m:], mode="clip")
+        Vn[:m] = Un[m:]
+        Up, Mp, Vp = Un[:m], Un[m:], Vn[m:]
+        if not ((Mp > Up) & (Mp < Vp)).all():
             raise DepthExceeded(
                 "bisection reached adjacent floats without acceptance; "
                 "gauge is unrepresentable there"
             )
-        dMp = dM[pending]
-        U, dU = np.concatenate([Up, Mp]), np.concatenate([dU[pending], dMp])
-        V, dV = np.concatenate([Mp, Vp]), np.concatenate([dMp, dV[pending]])
+        dU.take(pi, out=dUn[:m], mode="clip")
+        dM.take(pi, out=dUn[m:], mode="clip")
+        dV.take(pi, out=dVn[m:], mode="clip")
+        dVn[:m] = dUn[m:]
+        U, V, dU, dV = Un, Vn, dUn, dVn
 
     tags = np.concatenate(acc_t)
-    lefts = np.concatenate(acc_u)
-    idx = np.argsort(lefts)
-    return tags[idx], np.append(lefts[idx], domain.b)
+    tags.sort()
+    points = np.empty(tags.size + 1)
+    np.concatenate(acc_u, out=points[:-1])
+    points[:-1].sort()
+    points[-1] = domain.b
+    return tags, points
 
 
 def cousin_partition(

@@ -86,6 +86,13 @@ def test_integrate_rejects_bad_config(capsys):
             )
 
 
+def test_depth_exceeded_exits_not_converged(capsys):
+    assert run(capsys, ["integrate", "poly-3", "--tol", "1e-9", "--max-depth", "8"]) == (
+        2, "", "error: 256 cells still unacceptable at depth 8; "
+        "gauge is finer than float spacing allows\n",
+    )
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, ["frobnicate"])[0] == 1
 

@@ -53,7 +53,7 @@ _USAGE_ERRORS = [
     ["integrate", "fj", "--tol", "1e-4"],
     ["integrate", "fj", "--j", "0"],
     ["integrate", "F-defect", "--j", "0"],
-    ["integrate", "poly-3", "--tol", "1e-9", "--max-depth", "8"],
+    ["integrate", "poly-3", "--tol", "1e-9", "--max-depth", "8"],  # DepthExceeded: exit 2
     ["GAUGEQUAD_SEED=not-a-number", "integrate", "poly-1", "--tol", "1e-4"],
     ["figures"],
     ["figures", "5"],

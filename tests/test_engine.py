@@ -1,10 +1,11 @@
 """The bisection engine against its three-pass predecessor, and its branches.
 
 `reference_build_fine` is the earlier engine, verbatim apart from its name:
-it evaluated all three candidate tags of every frontier cell at every level.
-The one-pass engine, which returns (tags, points), must build partitions
-byte-identical to its (tags, lefts, rights) for both rules, so seeded results
-and golden CLI output stay unchanged.
+it evaluated all three candidate tags of every frontier cell at every level
+and put the cells in order with a stable argsort of their left ends.  The
+one-pass engine, which returns (tags, points) and sorts tags and left ends
+by value, must build partitions byte-identical to its (tags, lefts, rights)
+for both rules, so seeded results and golden CLI output stay unchanged.
 """
 import itertools
 import math
@@ -127,6 +128,8 @@ ENGINE_CASES = {
         Interval(-2.0, 3.5),
         Gauge(lambda x: 0.05 + 0.1 * np.abs(np.asarray(x, dtype=float))),
     ),
+    # the cousin split point 0.5 * -5e-324 rounds to -0.0
+    "subnormal-split": (Interval(-1e-323, 5e-324), const_gauge(1e-323)),
 }
 
 SEEDS = [pytest.param(None, id="cousin"), 0, 1, pytest.param((7, 2, 3), id="seq")]
@@ -139,20 +142,74 @@ def build(domain, g, seed):
     return random_delta_fine_partition(domain, g, seed)
 
 
+def rng(seed):
+    """A fresh generator for seed; None selects the deterministic rule."""
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def assert_matches_reference(domain, g, seed):
+    """Byte-equal to the reference, so also -0.0 kept; tags never decrease."""
+    tags, points = _build_fine(domain, g, 64, rng(seed))
+    old = reference_build_fine(domain, g, 64, rng(seed))
+    for got, want in zip((tags, points[:-1], points[1:]), old):
+        assert got.tobytes() == want.tobytes()
+    assert math.copysign(1.0, points[0]) == math.copysign(1.0, domain.a)
+    assert np.all(tags[:-1] <= tags[1:])
+    return tags, points
+
+
 # ------------------------------------------------ against the reference
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
 def test_engine_matches_reference_bytewise(case, seed):
-    domain, g = ENGINE_CASES[case]
+    assert_matches_reference(*ENGINE_CASES[case], seed)
 
-    def rng():
-        return None if seed is None else np.random.default_rng(seed)
 
-    tags, points = _build_fine(domain, g, 64, rng())
-    old = reference_build_fine(domain, g, 64, rng())
-    for got, want in zip((tags, points[:-1], points[1:]), old):
-        assert got.tobytes() == want.tobytes()
+@st.composite
+def piecewise_constant_cases(draw):
+    """A domain and a gauge constant on 1 to 5 pieces of it."""
+    domain = draw(
+        st.one_of(
+            st.sampled_from([Interval(-0.0, 1.0), Interval(-1.0, -0.0)]),
+            st.builds(
+                lambda a, length: Interval(a, a + length),
+                st.floats(-10.0, 10.0),
+                st.floats(1e-3, 10.0),
+            ),
+        )
+    )
+    k = draw(st.integers(1, 5))
+    fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=k - 1, max_size=k - 1))
+    breaks = np.sort(domain.a + domain.length * np.array(fracs, dtype=float))
+    powers = draw(st.lists(st.floats(1.0, 12.0), min_size=k, max_size=k))
+    values = domain.length * np.exp2(-np.array(powers))
+
+    def delta(x):
+        return values[np.searchsorted(breaks, x, side="right")]
+
+    return domain, Gauge(delta)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=piecewise_constant_cases(), seed=st.integers(0, 2**32 - 1) | st.none())
+def test_engine_matches_reference_on_piecewise_constant_gauges(case, seed):
+    assert_matches_reference(*case, seed)
+
+
+@pytest.mark.parametrize(
+    "domain, at",
+    [(UNIT, 0.5), (Interval(-1.0, 1.0), 0.0)],
+    ids=["at-0.5", "at-zero"],
+)
+def test_adjacent_equal_tags_sort_like_the_reference(domain, at):
+    # delta is wide only at `at`, a division point from level 1 on: the
+    # cousin rule tags [at - 1/4, at] at its right end and [at, at + 1/4]
+    # at its left end, so two adjacent cells share the tag `at`
+    g = Gauge(lambda x: np.where(np.asarray(x) == at, 0.3, 0.1))
+    tags, points = assert_matches_reference(domain, g, None)
+    (i,) = np.flatnonzero(points[1:-1] == at)
+    assert tags[i] == tags[i + 1] == at
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -186,12 +243,32 @@ def test_invalid_gauge_raises_during_build(seed):
         build(UNIT, Gauge(lambda x: x - 0.5), seed)
 
 
+def depth_messages(domain, g, max_depth, seed):
+    """The DepthExceeded messages of the engine and of the reference."""
+    with pytest.raises(DepthExceeded) as got:
+        _build_fine(domain, g, max_depth, rng(seed))
+    with pytest.raises(DepthExceeded) as want:
+        reference_build_fine(domain, g, max_depth, rng(seed))
+    return str(got.value), str(want.value)
+
+
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_depth_exceeded_at_adjacent_floats(seed):
     # two ulps wide: the first split is exact, the next has no float inside
     dom = Interval(1.0, 1.0 + 2 * math.ulp(1.0))
     with pytest.raises(DepthExceeded, match="adjacent floats"):
         build(dom, const_gauge(1e-300), seed)
+    got, want = depth_messages(dom, const_gauge(1e-300), 64, seed)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_depth_exceeded_at_max_depth(seed):
+    got, want = depth_messages(UNIT, const_gauge(1e-5), 8, seed)
+    assert got == want
+    assert got.endswith(
+        " cells still unacceptable at depth 8; gauge is finer than float spacing allows"
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])

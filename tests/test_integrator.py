@@ -15,7 +15,6 @@ from gaugequad import (
     riemann_sum,
     riemann_unboundedness_witness,
     smooth_gauge_family,
-    stieltjes_sum,
     sum_defect,
 )
 from gaugequad import oscillator as osc
@@ -98,34 +97,6 @@ def test_compensated_flag_close_to_plain():
     assert riemann_sum(f, p, compensated=True) == pytest.approx(
         riemann_sum(f, p), rel=1e-15
     )
-
-
-# ----------------------------------------------------------- stieltjes_sum
-
-def test_stieltjes_identity_integrator_bitwise_equals_riemann():
-    f = lambda x: np.sin(np.asarray(x, dtype=float))  # noqa: E731
-    ident = lambda x: np.asarray(x, dtype=float)  # noqa: E731
-    from gaugequad import random_delta_fine_partition
-
-    for seed in range(5):
-        p = random_delta_fine_partition(
-            Interval(0.0, 1.0), Gauge(lambda x: 0.05 + x / 5.0), seed=seed
-        )
-        assert stieltjes_sum(f, ident, p) == riemann_sum(f, p)
-
-
-def test_stieltjes_constant_integrand_telescopes():
-    g = lambda x: np.asarray(x, dtype=float) ** 3  # noqa: E731
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
-    assert stieltjes_sum(one, g, HALVES) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_stieltjes_hand_value():
-    # f(x) = x against g(x) = x^2 on halves with midpoint tags:
-    # 0.25*(0.25-0) + 0.75*(1-0.25) = 0.625
-    f = lambda x: np.asarray(x, dtype=float)  # noqa: E731
-    g = lambda x: np.asarray(x, dtype=float) ** 2  # noqa: E731
-    assert stieltjes_sum(f, g, HALVES) == pytest.approx(0.625, abs=1e-15)
 
 
 # ------------------------------------------------------------- sum_defect
