@@ -197,6 +197,8 @@ def cmd_figures(ns) -> int:
         raise _UsageError("need 0 < --x-min < --x-max <= 1")
     if ns.count < 2:
         raise _UsageError("--count must be >= 2")
+    if ns.count > 10**6:  # 10**6 rows take about 0.3 GB, 10**7 about 2.7 GB
+        raise _UsageError("--count must be <= 1000000")
     rows = oscillator.figure_samples(f"fig{ns.which}", ns.x_min, ns.x_max, ns.count)
     text = "x,y\n" + "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in rows)
     _emit(text, ns.out)

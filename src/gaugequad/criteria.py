@@ -175,12 +175,14 @@ def check_criterion2(
 ) -> CriterionReport:
     """Sample the fixed-index inequality |alpha2 - sum| < 2*eps.
 
-    Each j in j_list must exceed q (IndexBelowQ otherwise) and gets its own
-    gauge via gauge_for(j), following the per-index gauge construction; the
+    Each j in j_list must be a positive integer (ValueError otherwise) that
+    exceeds q (IndexBelowQ otherwise), and gets its own gauge via
+    gauge_for(j), following the per-index gauge construction; the
     acceptance band is 2*eps, the bound the triangle inequality yields.
     """
     if not (math.isfinite(eps) and eps > 0.0) or trials < 1 or len(j_list) == 0:
         raise ValueError("finite eps > 0, trials >= 1 and a non-empty j_list required")
+    _indices_array(j_list, len(j_list))
     for j in j_list:
         if j <= q:
             raise IndexBelowQ(f"index {j} not above q = {q}")

@@ -244,8 +244,8 @@ def riemann_unboundedness_witness(
     WitnessNotFound when the sweep exhausts its probe budget, as happens
     for bounded integrands.
     """
-    if delta_const <= 0.0:
-        raise ValueError("delta_const must be positive")
+    if not (math.isfinite(delta_const) and delta_const > 0.0 and math.isfinite(bound)):
+        raise ValueError(f"need finite delta_const > 0 and bound: {delta_const}, {bound}")
     n = max(2, math.ceil(domain.length / (0.9 * delta_const)))
     edges = np.linspace(domain.a, domain.b, n + 1)
     lefts, rights = edges[:-1], edges[1:]

@@ -50,8 +50,6 @@ __all__ = [
 #: where cells contribute O(len^2) ~ 1e-16 anyway.
 _REL_FLOOR = 1e-8
 
-_FIGURES = ("fig1", "fig2", "fig3", "fig4")
-
 
 def _as_array(x):
     arr = np.asarray(x, dtype=float)
@@ -81,6 +79,10 @@ def _raw_f(x: np.ndarray) -> np.ndarray:
 def _raw_F(x: np.ndarray) -> np.ndarray:
     # figure 4, x > 0 assumed: x^2 sin(1/x^2)
     return x * x * np.sin(1.0 / (x * x))
+
+
+#: The four hallmark curves by figure name.
+_FIGURES = {"fig1": _sin_term, "fig2": _cos_term, "fig3": _raw_f, "fig4": _raw_F}
 
 
 def _truncated(kernel, x, j=None):
@@ -141,42 +143,56 @@ def loop_area_estimate(n):
     return float(out) if out.ndim == 0 else out
 
 
-def _bracket(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots r(k) and r(k + 1) for an index array k, reading r(0) as +inf."""
-    rk = loop_root(k)
-    rk[k == 0.0] = math.inf
-    return rk, loop_root(k + 1.0)
-
-
 def _tent_delta(x: np.ndarray, eps_scale: float) -> np.ndarray:
     """Structural loop gauge on an array of points.
 
     Every x > 0 lies in one bracket r(k + 1) <= x <= r(k), where r(0) is
     +inf, so x >= r1 is the bracket k = 0.  Inside a bracket: half the
-    distance to the nearer root.  At a root r(n): half of
-    min(r(n), r(n) - r(n + 1)).  At 0 (and as a cap everywhere):
-    eps_scale.  An 8-ulp floor keeps the rule representable right next to
-    root floats.
+    distance to the nearer root.  At a root x = r(n): half the gap
+    x - r(n + 1) down to the next root.  At 0 (and as a cap everywhere):
+    eps_scale.  An 8-ulp floor F(x) = 8 spacing(x) keeps the rule
+    representable right next to root floats.
+
+    The bracket index is the closed form k = max(floor(1/(x x)/pi - 1/2), 0),
+    uncorrected.  Where its bracket misses x, s below is negative and no
+    root test fires, so x gets F(x).  A rule that re-brackets a miss one
+    index step toward x, as the tests' reference does, gives F(x) too.
+    Proof, with u = 2**-53, spacing(x) > u x, r(n) the exact root and
+    R(n) = loop_root(n) its float:
+      (1) R is non-increasing, and R(n) = r(n)(1 + a) with |a| <= 2.7u
+          while (2n + 1) pi is finite; past that R(n) = 0, no bracket
+          holds x > 0 and both rules give F(x).  For x x normal,
+          t = fl(c - 1/2) with c = Q (1 + e), |e| <= 3.4u, Q = 1/(pi x x).
+      (2) A miss lies within 4.9u x of a root float, on the far side of
+          the closed-form bracket.  Say x > R(k): then Q(x) < Q(R(k)) =
+          (k + 1/2)(1 + a)**-2, while t >= k gives c - 1/2 >= k (1 - u), so
+          Q(x) >= (k + 1/2)(1 - 4.4u) and (x / R(k))**2 <= 1 + 9.8u.
+          x < R(k + 1) is symmetric.
+      (3) Exact roots do not miss while 10u (n + 1/2) < 1, that is
+          n < N_a = 9.0e14: at x = R(n), (1) puts t within 10u (n + 1/2)
+          of n, so k is n or n - 1 and x is an end of its bracket.
+      (4) The float gap R(n) - R(n + 1) is at most r(n)/(2n + 1) + 5.4u r(n),
+          so at most 13.4u r(n) < 16 spacing(x) for x in the bracket once
+          n >= N_b = 2**49 = 5.6e14 (past 2**53, where n + 1 may round to
+          n + 2, the exact gap is below u r(n)).  Every value the bracket
+          then gives is at most half its gap, or at its lower-end root
+          half the next gap, so below F(x).
+    So the re-bracketed value is F(x): a bracket that still misses gives
+    s < 0; one of index n >= N_b gives F(x) by (4); below N_b < N_a, x is
+    no root float by (3), and the root float of (2) is an end of the new
+    bracket, so its value is at most 2.45u x < F(x).
     """
     # near and below x = 1e-154, x*x underflows and 1/(x*x) and the root
     # index overflow to inf: r(k) is then 0 and the ulp floor decides
     with np.errstate(divide="ignore", over="ignore"):
         k = np.maximum(np.floor(1.0 / (x * x) / math.pi - 0.5), 0.0)
-        rk, rk1 = _bracket(k)
-        # within an ulp of a root the closed-form index can miss by one
-        off = (rk < x) | (rk1 > x)
-        if off.any():
-            xo, ko = x[off], k[off]
-            ko = np.where(rk[off] < xo, np.maximum(ko - 1.0, 0.0), ko)
-            ko = np.where(loop_root(ko + 1.0) > xo, ko + 1.0, ko)
-            k[off] = ko
-            rk[off], rk1[off] = _bracket(ko)
+        rk = loop_root(k)
+        rk[k == 0.0] = math.inf
+        rk1 = loop_root(k + 1.0)
         s = 0.5 * np.minimum(x - rk1, rk - x)
-        at_root = (x == rk) | (x == rk1)
-        if at_root.any():
-            n = np.where(x[at_root] == rk[at_root], k[at_root], k[at_root] + 1.0)
-            r = loop_root(n)
-            s[at_root] = 0.5 * np.minimum(r, r - loop_root(n + 1.0))
+        at = np.flatnonzero((x == rk) | (x == rk1))
+        n = np.where(x[at] == rk[at], k[at], k[at] + 1.0)
+        s[at] = 0.5 * (x[at] - loop_root(n + 1.0))
         s = np.maximum(s, 8.0 * np.spacing(x))
     return np.where(x > 0.0, np.minimum(eps_scale, s), eps_scale)
 
@@ -196,10 +212,15 @@ def loop_gauge(eps_scale: float) -> Gauge:
 def loop_gauge_family() -> GaugeFamily:
     """Accuracy-parameterized family of loop gauges for integrating f.
 
-    at(eps) refines loop_gauge(sqrt(eps/2)) with the derivative scale
-    2*eps*x^3 that the telescoping defect bound requires, floored at
-    1e-8 x for float practicality.  The square-root cap at 0 balances the
-    tag-0 cell's own contribution |F(len)| <= len^2 against eps.
+    at(eps) refines loop_gauge(h), h = sqrt(eps/2), with the scale
+    2*eps*x^3, floored at 1e-8 x for float practicality.  The square-root
+    cap at 0 balances the tag-0 cell's own contribution |F(len)| <= len^2
+    against eps.  No bound shows that the x^3 term meets eps: the
+    first-order straddle estimate (Bartle & Sherbert, Introduction to Real
+    Analysis, 7.4), the sum of |f'| len^2 / 2 with |f'| ~ 4/x^4 and
+    len = 2 eps x^3, comes to about 4 eps ln(1/h), some 15 eps at
+    eps = 1e-3.  Sampled sums meet the tolerance through the cancellation
+    of consecutive loops, which the samples show and no bound proves.
     """
 
     def delta(x, eps):
@@ -256,15 +277,7 @@ def figure_samples(which, x_min: float, x_max: float, count: int):
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
     xs = np.linspace(x_min, x_max, count)
-    if name == "fig1":
-        ys = _sin_term(xs)
-    elif name == "fig2":
-        ys = _cos_term(xs)
-    elif name == "fig3":
-        ys = _raw_f(xs)
-    else:
-        ys = _raw_F(xs)
-    return list(zip(xs.tolist(), ys.tolist()))
+    return list(zip(xs.tolist(), _FIGURES[name](xs).tolist()))
 
 
 def integrand_family() -> IntegrandFamily:

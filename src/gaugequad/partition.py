@@ -188,11 +188,14 @@ def _build_fine(
 
     Compaction.  The accept mask is turned into index arrays once per
     level, the accepted positions and the pending ones, and every gather is
-    a `take` on them.  The m pending cells split into the next level's 2m
-    cells laid out as all left children [u, mid] then all right children
-    [mid, v]; each of U, V, dU and dV is allocated once at 2m and its
-    halves are written in place, V's and dV's first half being copies of
-    U's and dU's second.
+    a `take` on them.  The m pending cells' (u, mid, v) are gathered into
+    the rows of one 3 x m block C and their gauge values into D.  The next
+    level's 2m cells, all left children [u, mid] then all right children
+    [mid, v], are the views U = C[:2].ravel() and V = C[1:].ravel(), and
+    likewise dU and dV from D.  A level whose spans are not all positive
+    raises DepthExceeded: its parent reached adjacent floats.  For finite
+    doubles with gradual underflow a - b > 0 iff a > b, so this is the test
+    u < mid < v on every split.
 
     Order.  Accepted cells tile [a, b], so their left ends are distinct and
     sorting them by value gives every point but b.  The tags need no
@@ -213,6 +216,11 @@ def _build_fine(
 
     for depth in range(max_depth + 1):
         span = V - U
+        if not (span > 0.0).all():
+            raise DepthExceeded(
+                "bisection reached adjacent floats without acceptance; "
+                "gauge is unrepresentable there"
+            )
         if rng is None:
             M = 0.5 * (U + V)
             code = np.zeros(U.size, dtype=np.uint8)
@@ -240,22 +248,14 @@ def _build_fine(
             )
         # pi is in range, so mode="clip" clips nothing; it spares the
         # buffered copy that take(out=...) makes under the default "raise".
-        Un, Vn, dUn, dVn = (np.empty(2 * m) for _ in range(4))
-        U.take(pi, out=Un[:m], mode="clip")
-        M.take(pi, out=Un[m:], mode="clip")
-        V.take(pi, out=Vn[m:], mode="clip")
-        Vn[:m] = Un[m:]
-        Up, Mp, Vp = Un[:m], Un[m:], Vn[m:]
-        if not ((Mp > Up) & (Mp < Vp)).all():
-            raise DepthExceeded(
-                "bisection reached adjacent floats without acceptance; "
-                "gauge is unrepresentable there"
-            )
-        dU.take(pi, out=dUn[:m], mode="clip")
-        dM.take(pi, out=dUn[m:], mode="clip")
-        dV.take(pi, out=dVn[m:], mode="clip")
-        dVn[:m] = dUn[m:]
-        U, V, dU, dV = Un, Vn, dUn, dVn
+        C, D = np.empty((3, m)), np.empty((3, m))
+        U.take(pi, out=C[0], mode="clip")
+        M.take(pi, out=C[1], mode="clip")
+        V.take(pi, out=C[2], mode="clip")
+        dU.take(pi, out=D[0], mode="clip")
+        dM.take(pi, out=D[1], mode="clip")
+        dV.take(pi, out=D[2], mode="clip")
+        U, V, dU, dV = C[:2].ravel(), C[1:].ravel(), D[:2].ravel(), D[1:].ravel()
 
     tags = np.concatenate(acc_t)
     tags.sort()

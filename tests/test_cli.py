@@ -133,6 +133,11 @@ def test_figures_rejects_bad_range(capsys):
     assert run(capsys, ["figures", "1", "--x-min", "0"])[0] == 1
     assert run(capsys, ["figures", "1", "--x-min", "0.9", "--x-max", "0.5"])[0] == 1
     assert run(capsys, ["figures", "1", "--count", "1"])[0] == 1
+    # a billion rows would need about 300 GB: a usage error, not a traceback
+    for count in ("1000001", "1000000000"):
+        assert run(capsys, ["figures", "1", "--count", count]) == (
+            1, "", "error: --count must be <= 1000000\n"
+        )
 
 
 def test_figures_out_file(tmp_path, capsys):

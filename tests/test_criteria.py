@@ -283,6 +283,22 @@ def test_criterion2_rejects_index_at_or_below_q():
         )
 
 
+@pytest.mark.parametrize("j", [2.5, math.nan, math.inf])
+def test_criterion2_rejects_non_integral_or_non_finite_index(j):
+    # 2.5 is above q = 2 but would run as int(2.5) == 2 == q
+    with pytest.raises(ValueError, match="positive integers"):
+        check_criterion2(
+            paper_family(),
+            gauge_for=lambda j: const_gauge(0.1),
+            alpha2=SIN1,
+            eps=1e-2,
+            q=2,
+            j_list=[j],
+            trials=2,
+            seed=0,
+        )
+
+
 def test_criterion2_rejects_empty_j_list():
     # no index means no sampled sum: a report with trials=0 would pass
     with pytest.raises(ValueError, match="non-empty j_list"):

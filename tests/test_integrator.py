@@ -219,6 +219,15 @@ def test_witness_larger_bound_still_found():
     assert abs(riemann_sum(osc.f, p)) > 1e6
 
 
+@pytest.mark.parametrize(
+    "delta_const, bound",
+    [(math.nan, 1e3), (math.inf, 1e3), (0.0, 1e3), (0.1, math.nan), (0.1, math.inf)],
+)
+def test_witness_rejects_non_finite_inputs(delta_const, bound):
+    with pytest.raises(ValueError, match="need finite delta_const > 0 and bound"):
+        riemann_unboundedness_witness(osc.f, Interval(0.0, 1.0), delta_const, bound)
+
+
 def test_witness_not_found_for_bounded_function():
     with pytest.raises(WitnessNotFound):
         riemann_unboundedness_witness(

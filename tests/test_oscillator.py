@@ -225,14 +225,21 @@ def _ulp_neighbours(xs, count):
 def test_tent_delta_matches_reference_bitwise():
     # the single-bracket rule against the earlier two-branch one: roots
     # n <= 1e5 at +-4 ulps (where the closed-form index is off by one),
-    # r(0), r1 at +-ulps, 0, 1, subnormals and log-uniform points down to
-    # 1e-300, where x*x underflows
+    # r(0), r1 at +-ulps, 0, 1, subnormals, log-uniform points down to
+    # 1e-300, where x*x underflows, and roots with n log-uniform in
+    # [1e5, 1e300] at +-8 ulps, where the uncorrected bracket misses
     rng = np.random.default_rng(3)
     xs = np.concatenate([
         _ulp_neighbours(osc.loop_root(np.arange(0.0, 100_001.0)), 4),
         _ulp_neighbours(np.array([osc.loop_root(1)]), 64),
         [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308],
         np.exp(rng.uniform(math.log(1e-300), 0.0, 200_000)),
+        _ulp_neighbours(
+            osc.loop_root(
+                np.floor(np.exp(rng.uniform(math.log(1e5), math.log(1e300), 20_000)))
+            ),
+            8,
+        ),
     ])
     for eps_scale in (10.0, 0.5, math.sqrt(5e-4), 1e-5):
         got = osc._tent_delta(xs, eps_scale)
