@@ -86,14 +86,25 @@ def _report(alpha: float, eps: float, band: float, devs: list[float]) -> Criteri
     )
 
 
-def _indices_array(indices, n: int) -> np.ndarray:
+def _positive_indices(indices) -> np.ndarray:
+    """indices as an array, each a finite integer >= 1 (integral floats pass)."""
     arr = np.asarray(indices)
-    if arr.ndim != 1 or arr.size != n:
-        raise LengthMismatch(f"expected {n} indices, got shape {arr.shape}")
+    if arr.dtype == object:  # Python ints beyond the int64 and uint64 range
+        try:
+            arr = arr.astype(float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("indices must be positive integers") from None
     integral = arr.dtype.kind in "iu" or np.all(np.isfinite(arr) & (np.floor(arr) == arr))
     if not (integral and np.all(arr >= 1)):
         raise ValueError("indices must be positive integers")
     return arr
+
+
+def _indices_array(indices, n: int) -> np.ndarray:
+    arr = np.asarray(indices)
+    if arr.ndim != 1 or arr.size != n:
+        raise LengthMismatch(f"expected {n} indices, got shape {arr.shape}")
+    return _positive_indices(arr)
 
 
 def variable_index_sum(

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .criteria import IndexSelector, IntegrandFamily
+from .criteria import IndexSelector, IntegrandFamily, _positive_indices
 from .errors import DomainError
 from .integrator import GaugeFamily, _family
 from .partition import Gauge, Interval
@@ -50,6 +50,12 @@ __all__ = [
 #: where cells contribute O(len^2) ~ 1e-16 anyway.
 _REL_FLOOR = 1e-8
 
+#: The phase certificate of `loop_gauge_family`: a point whose root phase q
+#: has 1 <= q < eps * _PHASE_CAP and lies at least _PHASE_MARGIN * eps from
+#: an integer provably has a tent above 2 eps x^3.  Proved constants.
+_PHASE_MARGIN = 8.0
+_PHASE_CAP = 2.0**50
+
 
 def _as_array(x):
     arr = np.asarray(x, dtype=float)
@@ -57,7 +63,8 @@ def _as_array(x):
 
 
 def _check_domain(arr: np.ndarray) -> None:
-    if not np.all((arr >= 0.0) & (arr <= 1.0) & np.isfinite(arr)):
+    # nan fails both comparisons and +-inf one of them
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("argument outside [0, 1]")
 
 
@@ -72,8 +79,16 @@ def _cos_term(x: np.ndarray) -> np.ndarray:
 
 
 def _raw_f(x: np.ndarray) -> np.ndarray:
-    # x > 0 assumed; written as fig1 - fig2 so the identities are bitwise
-    return _sin_term(x) - _cos_term(x)
+    # x > 0 assumed; fig1 - fig2 with 1/x^2 formed once, in place but with
+    # the same roundings as _sin_term(x) - _cos_term(x), so the identities
+    # stay bitwise
+    r = 1.0 / (x * x)
+    out = np.sin(r)
+    out *= 2.0 * x
+    r = np.cos(r, out=r)
+    r *= 2.0 / x
+    out -= r
+    return out
 
 
 def _raw_F(x: np.ndarray) -> np.ndarray:
@@ -91,8 +106,8 @@ def _truncated(kernel, x, j=None):
     Live means x > 0, or x >= 1/j when a truncation index j (a positive
     integer or an integer array aligned with x) is given.
     """
-    if j is not None and not np.all(np.asarray(j) >= 1):
-        raise ValueError("truncation index must be >= 1")
+    if j is not None:
+        _positive_indices(j)
     arr, scalar = _as_array(x)
     _check_domain(arr)
     if j is None:
@@ -209,24 +224,88 @@ def loop_gauge(eps_scale: float) -> Gauge:
     return _family(_tent_delta).at(eps_scale)
 
 
+def _uncertified(x: np.ndarray, eps: float):
+    """Indices of the points that fail `loop_gauge_family`'s phase certificate."""
+    # q in place, with the roundings of 1.0 / (x * x) / math.pi - 0.5;
+    # x = 0 and tiny x give q = inf and q - rint(q) = nan, which fail
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = x * x
+        np.divide(1.0, q, out=q)
+        q /= math.pi
+        q -= 0.5
+        m = np.rint(q)
+        np.subtract(q, m, out=m)
+        np.abs(m, out=m)
+    passed = m >= _PHASE_MARGIN * eps
+    passed &= q >= 1.0
+    passed &= q < eps * _PHASE_CAP
+    return np.flatnonzero(~passed)
+
+
 def loop_gauge_family() -> GaugeFamily:
     """Accuracy-parameterized family of loop gauges for integrating f.
 
     at(eps) refines loop_gauge(h), h = sqrt(eps/2), with the scale
-    2*eps*x^3, floored at 1e-8 x for float practicality.  The square-root
-    cap at 0 balances the tag-0 cell's own contribution |F(len)| <= len^2
-    against eps.  No bound shows that the x^3 term meets eps: the
+    c = 2*eps*x^3, floored at 1e-8 x for float practicality and, at
+    subnormal x where both underflow to 0, at spacing(x) > 0, which lies
+    below every positive value of the rule and so changes only those
+    zeros.  The square-root cap at 0 balances the tag-0 cell's own
+    contribution |F(len)| <= len^2 against eps.  No bound shows that the x^3 term meets eps: the
     first-order straddle estimate (Bartle & Sherbert, Introduction to Real
     Analysis, 7.4), the sum of |f'| len^2 / 2 with |f'| ~ 4/x^4 and
     len = 2 eps x^3, comes to about 4 eps ln(1/h), some 15 eps at
     eps = 1e-3.  Sampled sums meet the tolerance through the cancellation
     of consecutive loops, which the samples show and no bound proves.
+
+    Evaluation.  Away from the roots the tent s of `_tent_delta` exceeds c,
+    and there min(min(h, s), c) = min(h, c) exactly.  A phase certificate
+    finds such points without computing s; only the rest pay for
+    `_tent_delta`.  It reads `_tent_delta`'s own q = fl(1/(x x)/pi - 1/2),
+    whose integers are the roots and whose floor is the bracket index k,
+    and passes x when
+        1 <= q < eps 2**50   and   |q - rint(q)| >= 8 eps.
+    For q >= 1, |q - rint(q)| is min(w, 1 - w), w = q - floor(q), and is
+    exact (Sterbenz), as are 8 eps and eps 2**50.  Proof that a passing
+    x > 0 has s >= c, with u = 2**-53, Q = 1/(pi x x) - 1/2 exact, r(n)
+    the exact roots (Q = n there) and R(n) = loop_root(n):
+      (1) 1 <= q < eps 2**50 forces eps > 2**-50, so u < eps/8, u q < eps/8,
+          and x x is normal.  By `_tent_delta`'s (1),
+          |q - Q| <= 3.4u (Q + 1/2) + u q, so Q < q (1 + 7u) and
+          |q - Q| < 4.4u Q + 1.7u < 0.77 eps.  No integer lies between q
+          and Q: k = floor(Q) >= 1, and m = min(Q - k, k + 1 - Q) > 7.23 eps.
+      (2) Exactly, dx/dQ = -(pi/2) x^3, so r(k) - x >= (pi/2)(Q - k) x^3.
+          With a = Q + 1/2 >= 3/2 and y = (k + 1 - Q)/a <= 2/3,
+          x - r(k + 1) = pi a x^3 (1 - (1 + y)**-0.5) >= 1.06 (k + 1 - Q) x^3,
+          as (1 - (1 + y)**-0.5)/y falls in y.  So the nearer root is at
+          least 1.06 m x^3 away, and m >= 3.8 eps alone gives s >= 2 eps x^3;
+          the rest of the margin pays for rounding.
+      (3) R(n) = r(n)(1 + a), |a| <= 2.7u, by `_tent_delta`'s (1), and
+          r(k + 1) < x < r(k) < 1.3 x, as (Q + 1/2)/(k + 1/2) < 5/3.  So
+          fl(x - R(k + 1)) and fl(R(k) - x) are each at least (1 - u) times
+          the exact gap less 3.6u x, where u x = pi (Q + 1/2) u x^3
+          < 0.59 eps x^3.  Both exceed (1 - u)(1.06 * 7.23 - 2.13) eps x^3
+          > 5.5 eps x^3 > 0: x is no root float and k >= 1, so neither
+          patch of `_tent_delta` fires, and s > 2.75 eps x^3
+          > (1 + u)**3 2 eps x^3 >= c = fl(2 eps x x x).
+    The ulp floor only raises s.  x <= 0 can pass, as q depends on x x, and
+    gets h from the final where; nan, +-inf, 0 and x below about 6.7e-8
+    give q nan, -1/2 or above 2**46 > eps 2**50 and fail.  These bounds
+    carry a margin of 7 eps but not 6 eps; 8 eps is a power of two, and
+    eps 2**50 keeps the phase error under eps.
     """
 
     def delta(x, eps):
         h = math.sqrt(0.5 * eps)
-        tent = np.minimum(_tent_delta(x, h), 2.0 * eps * x * x * x)
-        return np.where(x > 0.0, np.maximum(tent, _REL_FLOOR * x), h)
+        cube = 2.0 * eps * x  # then * x * x, as 2.0 * eps * x * x * x
+        cube *= x
+        cube *= x
+        out = np.minimum(cube, h)
+        slow = _uncertified(x, eps)
+        xs = x[slow]
+        exact = np.minimum(_tent_delta(xs, h), cube[slow])
+        out[slow] = np.maximum(exact, np.spacing(xs))
+        np.maximum(out, _REL_FLOOR * x, out=out)
+        return np.where(x > 0.0, out, h)
 
     return _family(delta)
 
@@ -257,9 +336,8 @@ def exact_integral_f() -> float:
 
 
 def exact_integral_fj(j: int) -> float:
-    """Closed form for f_j: sin 1 - sin(j^2) / j^2."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    """Closed form for f_j: sin 1 - sin(j^2) / j^2; j a finite integer >= 1."""
+    _positive_indices(j)
     return math.sin(1.0) - math.sin(float(j) ** 2) / float(j) ** 2
 
 

@@ -69,6 +69,20 @@ def reference_tent_delta(x: np.ndarray, eps_scale: float) -> np.ndarray:
     return out
 
 
+# The earlier loop-family kernel, verbatim apart from its name: the full
+# tent at every point.  `loop_gauge_family().at(eps)` must match it bit for
+# bit wherever it is positive.
+def reference_loop_family_delta(x, eps):
+    h = math.sqrt(0.5 * eps)
+    tent = np.minimum(osc._tent_delta(x, h), 2.0 * eps * x * x * x)
+    return np.where(x > 0.0, np.maximum(tent, osc._REL_FLOOR * x), h)
+
+
+# The earlier integrand kernel, fig1 - fig2 as two separate curves.
+def reference_raw_f(x):
+    return osc._sin_term(x) - osc._cos_term(x)
+
+
 # ------------------------------------------------------------ the family
 
 def test_f_at_zero_and_one():
@@ -117,6 +131,75 @@ def test_f_j_equals_f_beyond_threshold_bitwise():
         live = xs >= 1.0 / j
         assert np.array_equal(left[live], right[live])
         assert np.all(left[~live] == 0.0)
+
+
+def _f_points(rng):
+    # uniform and log-uniform points down to 1e-150, where 1/(x x) is finite
+    return np.concatenate([
+        rng.uniform(0.0, 1.0, 100_000),
+        np.exp(rng.uniform(math.log(1e-150), 0.0, 100_000)),
+        loop_root(np.arange(1.0, 2000.0)),
+        [0.0, 1.0],
+    ])
+
+
+def test_f_and_f_j_match_reference_kernel_bitwise():
+    rng = np.random.default_rng(17)
+    xs = _f_points(rng)
+    want = np.zeros_like(xs)
+    live = xs > 0.0
+    want[live] = reference_raw_f(xs[live])
+    assert osc.f(xs).tobytes() == want.tobytes()
+    js = rng.integers(1, 10**6, xs.size)
+    want_j = np.where(xs >= 1.0 / js, want, 0.0)
+    assert osc.f_j(js, xs).tobytes() == want_j.tobytes()
+    assert osc.f_j(js.astype(float), xs).tobytes() == want_j.tobytes()
+    # 1/(x x) overflows here in both kernels
+    tiny = np.array([1e-160, 1e-300, 5e-324])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        assert osc.f(tiny).tobytes() == reference_raw_f(tiny).tobytes()
+
+
+def test_fig3_matches_reference_kernel_bitwise():
+    rows = osc.figure_samples("fig3", 1e-3, 1.0, 200_001)
+    xs = np.linspace(1e-3, 1.0, 200_001)
+    assert [x for x, _ in rows] == xs.tolist()
+    assert [y for _, y in rows] == reference_raw_f(xs).tolist()
+
+
+@pytest.mark.parametrize("j", [math.inf, math.nan, 1.5, 0.7, 0, -2])
+@pytest.mark.parametrize("kernel", [osc.f_j, osc.F_j])
+def test_truncation_index_must_be_a_finite_positive_integer(kernel, j):
+    with pytest.raises(ValueError, match="positive integers"):
+        kernel(j, 0.0)
+    with pytest.raises(ValueError, match="positive integers"):
+        kernel(np.array([2.0, j]), np.array([0.3, 0.7]))
+
+
+@pytest.mark.parametrize("j", [math.inf, math.nan, 1.5, 0.7, 0, -2])
+def test_exact_integral_fj_rejects_bad_index(j):
+    with pytest.raises(ValueError, match="positive integers"):
+        osc.exact_integral_fj(j)
+
+
+def test_integral_float_indices_are_accepted():
+    assert osc.f_j(5.0, 0.3) == osc.f_j(5, 0.3)
+    assert osc.F_j(5.0, 0.3) == osc.F_j(5, 0.3)
+    assert osc.exact_integral_fj(5.0) == osc.exact_integral_fj(5)
+    xs = np.array([0.1, 0.3, 0.7])
+    got = osc.f_j(np.array([5.0, 2.0, 2.0]), xs)
+    assert got.tobytes() == osc.f_j(np.array([5, 2, 2]), xs).tobytes()
+
+
+def test_index_beyond_int64_is_accepted():
+    # numpy holds 10**20 as an object array; it is still a positive integer
+    j = 10**20
+    assert osc.f_j(j, 0.5) == osc.f(0.5)
+    assert osc.F_j(j, 0.5) == osc.F(0.5)
+    assert osc.f_j(j, 0.0) == 0.0
+    assert abs(osc.exact_integral_fj(j) - math.sin(1.0)) <= 1e-40
+    with pytest.raises(ValueError, match="positive integers"):
+        osc.f_j(10**400, 0.5)
 
 
 def test_f_j_vectorized_over_indices():
@@ -257,6 +340,49 @@ def test_loop_gauge_below_underflow_of_x_squared():
     assert got == pytest.approx([3.95252517e-323, 1.16033421e-215, 1.26349207e-175])
     with np.errstate(divide="ignore", over="ignore"):
         assert got.tobytes() == reference_tent_delta(xs, 1.0).tobytes()
+
+
+def _near_roots(rng, count, eps):
+    # points at root phases n + t, n log-uniform in [1, 1e9], |t - n| <= 10 eps
+    n = np.floor(np.exp(rng.uniform(0.0, math.log(1e9), count)))
+    t = n + rng.uniform(-10.0, 10.0, count) * eps
+    return np.sqrt(1.0 / (math.pi * (t + 0.5)))
+
+
+FAMILY_EPS = (1e-1, 1.0 / 16.0, 1e-2, 1e-3, 3e-4, 1e-6, 1e-9)
+
+
+def test_loop_family_matches_reference_bitwise():
+    # the phase certificate against the full tent everywhere: near roots,
+    # at roots +-8 ulps, at and above r1, off the domain, at 0 and at
+    # subnormals (where the reference's zeros become spacing(x))
+    rng = np.random.default_rng(23)
+    common = np.concatenate([
+        _ulp_neighbours(loop_root(np.floor(np.exp(rng.uniform(0.0, math.log(1e9), 5_000)))), 8),
+        _ulp_neighbours(np.array([loop_root(1), loop_root(2)]), 64),
+        rng.uniform(loop_root(1), 1.0, 1_000),
+        np.exp(rng.uniform(math.log(1e-300), 0.0, 100_000)),
+        [0.0, -0.0, -0.25, -1.0, 2.0, math.nan, -math.inf, 1e-300],
+        [5e-324, 1e-320, 1e-316, 1e-310, 2.2250738585072014e-308],
+    ])
+    for eps in FAMILY_EPS:
+        xs = np.concatenate([_near_roots(rng, 400_000, eps), common])
+        got = osc.loop_gauge_family().at(eps).delta(xs)
+        want = reference_loop_family_delta(xs, eps)
+        want = np.where(want == 0.0, np.spacing(xs), want)
+        assert got.tobytes() == want.tobytes()
+        # inf - inf inside the tent: both give nan with the same warning
+        with np.errstate(invalid="ignore"):
+            got = osc.loop_gauge_family().at(eps).delta(np.array([math.inf]))
+            want = reference_loop_family_delta(np.array([math.inf]), eps)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_loop_family_positive_at_subnormals():
+    g = osc.loop_gauge_family().at(1e-3)
+    assert g(1e-320) == 5e-324
+    xs = np.array([5e-324, 1e-320, 1e-316, 2.2250738585072014e-308])
+    assert np.all(g.eval_many(xs) > 0.0)
 
 
 def test_truncated_gauge_scalar_call_equals_eval_many():
