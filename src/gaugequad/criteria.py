@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import IndexBelowQ, LengthMismatch, NonFiniteValue
-from .integrator import RealFunction, _dot, riemann_sum
+from .integrator import _dot, riemann_sum
 from .partition import (
     DEFAULT_MAX_DEPTH,
     Gauge,
@@ -41,17 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegrandFamily:
-    """An indexed sequence of integrands f_j with pointwise limit.
+    """An indexed sequence of integrands f_j on a domain, as one array kernel.
 
-    member(j) returns the j-th integrand.  member_at, when provided, is a
-    vectorized shortcut (index_array, x_array) -> values used to keep
-    variable-index sums cheap; it must agree with member pointwise.
+    member_at(j, x) is f_j(x), with j a positive integer or an integer
+    array aligned with x; for an array x it returns values of x's shape.
+    partial(member_at, j) is then the integrand f_j.
     """
 
-    member: Callable[[int], RealFunction]
-    limit: RealFunction
+    member_at: Callable
     domain: Interval
-    member_at: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -111,24 +110,18 @@ def variable_index_sum(
     fam: IntegrandFamily,
     indices: Sequence[int],
     p: TaggedPartition,
-    compensated: bool = False,
 ) -> float:
     """sum of f_{indices[i]}(tag_i) * |I_i| in cell order.
 
-    With all indices equal to j this reduces bitwise to
-    riemann_sum(member(j), p).
+    One call member_at(indices, tags) evaluates every cell.  With all
+    indices equal to j this reduces bitwise to
+    riemann_sum(partial(fam.member_at, j), p).
     """
     idx = _indices_array(indices, len(p))
-    if fam.member_at is not None:
-        values = np.asarray(fam.member_at(idx, p.tags), dtype=float)
-    else:
-        values = np.empty(len(p))
-        for j in np.unique(idx):
-            sel = idx == j
-            values[sel] = _eval_points(fam.member(int(j)), p.tags[sel])
+    values = np.asarray(fam.member_at(idx, p.tags), dtype=float)
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue("family member non-finite at a tag")
-    return _dot(values, p.lengths, compensated)
+    return _dot(values, p.lengths, False)
 
 
 def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:
@@ -147,29 +140,25 @@ def check_criterion1(
     trials: int,
     index_headroom: int,
     seed: int,
-    index_draws: int = 1,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> CriterionReport:
     """Sample the variable-index inequality |alpha1 - sum| < eps.
 
-    Draws `trials` random fine partitions for gf.at(eps); for each,
-    `index_draws` admissible index vectors with indices uniform in
+    Draws `trials` random fine partitions for gf.at(eps), and for each one
+    admissible index vector with indices uniform in
     (threshold(tag), threshold(tag) + index_headroom].  A clean report is
     evidence for the criterion whose conclusion is that the limit function
     integrates to alpha1.
     """
-    bad_eps = not (math.isfinite(eps) and eps > 0.0)
-    if bad_eps or trials < 1 or index_headroom < 1 or index_draws < 1:
+    if not (math.isfinite(eps) and eps > 0.0) or trials < 1 or index_headroom < 1:
         raise ValueError("finite eps > 0, trials >= 1, index_headroom >= 1 required")
     gauge = gf.at(eps)
     devs = []
     for i in range(trials):
         p = _random_partition(fam.domain, gauge, [seed, 1, i], max_depth)
-        thr = _thresholds(sel, p.tags)
         rng = np.random.default_rng([seed, 2, i])
-        for _ in range(index_draws):
-            idx = thr + rng.integers(1, index_headroom + 1, size=len(p))
-            devs.append(abs(alpha1 - variable_index_sum(fam, idx, p)))
+        idx = _thresholds(sel, p.tags) + rng.integers(1, index_headroom + 1, size=len(p))
+        devs.append(abs(alpha1 - variable_index_sum(fam, idx, p)))
     return _report(alpha1, eps, eps, devs)
 
 
@@ -186,13 +175,18 @@ def check_criterion2(
 ) -> CriterionReport:
     """Sample the fixed-index inequality |alpha2 - sum| < 2*eps.
 
-    Each j in j_list must be a positive integer (ValueError otherwise) that
-    exceeds q (IndexBelowQ otherwise), and gets its own gauge via
-    gauge_for(j), following the per-index gauge construction; the
-    acceptance band is 2*eps, the bound the triangle inequality yields.
+    q must be finite, and each j in j_list a positive integer (ValueError
+    otherwise) that exceeds q (IndexBelowQ otherwise).  Each j gets its own
+    gauge via gauge_for(j), following the per-index gauge construction, and
+    its cousin partition plus `trials` seeded ones, each summed as soon as
+    it is built.  The acceptance band is 2*eps, the bound the triangle
+    inequality yields.
     """
-    if not (math.isfinite(eps) and eps > 0.0) or trials < 1 or len(j_list) == 0:
-        raise ValueError("finite eps > 0, trials >= 1 and a non-empty j_list required")
+    # chained comparisons, not math.isfinite, so that a Python int q
+    # beyond the float range still counts as finite
+    bad_q = not -math.inf < q < math.inf
+    if not (math.isfinite(eps) and eps > 0.0) or bad_q or trials < 1 or len(j_list) == 0:
+        raise ValueError("finite eps > 0 and q, trials >= 1 and a non-empty j_list required")
     _indices_array(j_list, len(j_list))
     for j in j_list:
         if j <= q:
@@ -200,13 +194,12 @@ def check_criterion2(
     devs = []
     for jn, j in enumerate(j_list):
         gauge = gauge_for(int(j))
-        fj = fam.member(int(j))
-        parts = [cousin_partition(fam.domain, gauge, max_depth)]
-        parts += [
-            _random_partition(fam.domain, gauge, [seed, 3, jn, t], max_depth)
-            for t in range(trials)
-        ]
-        devs += [abs(alpha2 - riemann_sum(fj, p)) for p in parts]
+        fj = partial(fam.member_at, int(j))
+        p = cousin_partition(fam.domain, gauge, max_depth)
+        devs.append(abs(alpha2 - riemann_sum(fj, p)))
+        for t in range(trials):
+            p = _random_partition(fam.domain, gauge, [seed, 3, jn, t], max_depth)
+            devs.append(abs(alpha2 - riemann_sum(fj, p)))
     return _report(alpha2, eps, 2.0 * eps, devs)
 
 

@@ -103,17 +103,15 @@ def _family(delta: Callable[[np.ndarray, float], np.ndarray]) -> GaugeFamily:
     return GaugeFamily(at)
 
 
-def smooth_gauge_family(scale: float = 1.0) -> GaugeFamily:
-    """Constant-gauge family delta_eps = scale * eps**(2/3).
+def smooth_gauge_family() -> GaugeFamily:
+    """Constant-gauge family delta_eps = eps**(2/3).
 
     Suited to integrands with moderate derivatives: the constructors
     produce midpoint-dominated partitions, so sampled sums agree to
     O(delta**1.5) = O(eps) and the family converges at or near its first
     level.
     """
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be finite and positive, got {scale}")
-    return _family(lambda x, eps: np.full_like(x, scale * eps ** (2.0 / 3.0)))
+    return _family(lambda x, eps: np.full_like(x, eps ** (2.0 / 3.0)))
 
 
 def _eval_values(f: RealFunction, xs: np.ndarray) -> np.ndarray:

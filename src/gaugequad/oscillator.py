@@ -311,14 +311,13 @@ def loop_gauge_family() -> GaugeFamily:
 
 
 def truncated_gauge_family(j: int) -> GaugeFamily:
-    """Per-index family for integrating f_j; j must be finite and >= 1.
+    """Per-index family for integrating f_j; j must be a positive integer.
 
     Coarse below the jump at 1/j (where f_j vanishes), packing toward the
     jump like half the remaining distance; above it, an x^2-scaled rule
     tuned so sampled-sum noise stays below eps/4.
     """
-    if not (math.isfinite(j) and j >= 1):
-        raise ValueError(f"j must be finite and >= 1, got {j}")
+    _positive_indices(j)
     jump = 1.0 / j
 
     def delta(x, eps):
@@ -359,13 +358,8 @@ def figure_samples(which, x_min: float, x_max: float, count: int):
 
 
 def integrand_family() -> IntegrandFamily:
-    """The truncation family (f_j) with limit f, as an IntegrandFamily."""
-    return IntegrandFamily(
-        member=lambda j: (lambda x, _j=j: f_j(_j, x)),
-        limit=f,
-        domain=Interval(0.0, 1.0),
-        member_at=f_j,
-    )
+    """The truncation family (f_j) on [0, 1], whose pointwise limit is f."""
+    return IntegrandFamily(member_at=f_j, domain=Interval(0.0, 1.0))
 
 
 def index_selector() -> IndexSelector:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gaugequad import (
     smooth_gauge_family,
     variable_index_sum,
 )
+from gaugequad import criteria
 from gaugequad import oscillator as osc
 
 from conftest import const_gauge
@@ -50,14 +52,22 @@ def test_fixed_indices_reduce_to_riemann_sum_bitwise():
         assert lhs == rhs
 
 
-def test_generic_grouping_path_matches_vectorized_shortcut():
+def per_point_sum(idx, p):
+    """The oracle: f_j(j_i, t_i) one point at a time, dotted with the lengths."""
+    values = [osc.f_j(int(j), float(t)) for j, t in zip(idx, p.tags)]
+    return float(np.array(values) @ p.lengths)
+
+
+def test_mixed_indices_match_per_point_oracle_bitwise():
+    # indices below and above ceil(1/tag), so some tags truncate to 0
     fam = paper_family()
-    generic = IntegrandFamily(member=fam.member, limit=fam.limit, domain=fam.domain)
-    p = small_partition(seed=11)
     rng = np.random.default_rng(0)
-    sel = osc.index_selector()
-    idx = sel.threshold(p.tags) + rng.integers(1, 6, size=len(p))
-    assert variable_index_sum(fam, idx, p) == variable_index_sum(generic, idx, p)
+    for seed in (11, 12):
+        p = small_partition(seed=seed)
+        idx = rng.integers(1, 40, size=len(p))
+        truncated = osc.f_j(idx, p.tags) == 0.0
+        assert truncated.any() and not truncated.all()
+        assert variable_index_sum(fam, idx, p) == per_point_sum(idx, p)
 
 
 def test_admissible_indices_give_f_sum_bitwise():
@@ -82,16 +92,12 @@ def test_variable_index_sum_validates_lengths_and_values():
         variable_index_sum(fam, np.ones(len(p) + 1, dtype=int), p)
     with pytest.raises(ValueError):
         variable_index_sum(fam, np.zeros(len(p), dtype=int), p)
-    # both evaluation paths must reject a fractional index, which they
-    # would otherwise truncate at different points (1/2.5 against 1/2)
-    generic = IntegrandFamily(member=fam.member, limit=fam.limit, domain=fam.domain)
-    for family in (fam, generic):
-        for bad in (2.5, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                variable_index_sum(family, np.full(len(p), bad), p)
-        assert variable_index_sum(family, np.full(len(p), 5.0), p) == (
-            variable_index_sum(family, np.full(len(p), 5), p)
-        )
+    for bad in (2.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            variable_index_sum(fam, np.full(len(p), bad), p)
+    assert variable_index_sum(fam, np.full(len(p), 5.0), p) == (
+        variable_index_sum(fam, np.full(len(p), 5), p)
+    )
 
 
 # ------------------------------------------------------- check_criterion1
@@ -103,10 +109,9 @@ def test_criterion1_passes_on_the_paper_family():
         osc.index_selector(),
         alpha1=SIN1,
         eps=1e-2,
-        trials=4,
+        trials=12,
         index_headroom=10,
         seed=0,
-        index_draws=3,
     )
     assert rep.passed
     assert rep.violations == 0
@@ -136,16 +141,15 @@ def test_criterion1_dominated_family():
     # ceil(1/eps) the index term contributes at most 1/j <= eps/2 in sum
     eps = 1e-3
     fam = IntegrandFamily(
-        member=lambda j: (lambda x, _j=j: np.asarray(x, float) * (1.0 + 1.0 / _j)),
-        limit=lambda x: np.asarray(x, float),
+        member_at=lambda j, x: np.asarray(x, float) * (1.0 + 1.0 / np.asarray(j, float)),
         domain=UNIT,
-        member_at=lambda j, x: np.asarray(x, float)
-        * (1.0 + 1.0 / np.asarray(j, float)),
     )
     sel = IndexSelector(lambda x: np.full_like(np.asarray(x, float), math.ceil(1 / eps)).astype(np.int64))
+    # a constant gauge of 0.25 eps^(2/3)
+    gf = GaugeFamily(lambda e: const_gauge(0.25 * e ** (2.0 / 3.0)))
     rep = check_criterion1(
         fam,
-        smooth_gauge_family(0.25),
+        gf,
         sel,
         alpha1=0.5,
         eps=eps,
@@ -158,7 +162,7 @@ def test_criterion1_dominated_family():
 
 def test_criterion1_is_deterministic():
     kwargs = dict(
-        alpha1=SIN1, eps=1e-2, trials=3, index_headroom=7, seed=21, index_draws=2
+        alpha1=SIN1, eps=1e-2, trials=3, index_headroom=7, seed=21
     )
     r1 = check_criterion1(
         paper_family(), osc.loop_gauge_family(), osc.index_selector(), **kwargs
@@ -208,9 +212,7 @@ def test_criterion2_rejects_wrong_center():
 
 def test_criterion2_constant_family():
     fam = IntegrandFamily(
-        member=lambda j: (lambda x: np.full_like(np.asarray(x, float), 2.5)),
-        limit=lambda x: np.full_like(np.asarray(x, float), 2.5),
-        domain=UNIT,
+        member_at=lambda j, x: np.full_like(np.asarray(x, float), 2.5), domain=UNIT
     )
     rep = check_criterion2(
         fam,
@@ -230,19 +232,12 @@ def test_criterion2_monotone_unbounded_limit_family():
     # f_j(x) = min(j, 1/sqrt(x)) increases to 1/sqrt(x), integrable with
     # integral 2 though no dominating integrable bound exists;
     # closed form: integral of f_j = 2 - 1/j (split at 1/j^2)
-    def member(j):
-        def fj(x):
-            arr = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.minimum(float(j), 1.0 / np.sqrt(arr))
+    def member_at(j, x):
+        arr = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.minimum(np.asarray(j, float), 1.0 / np.sqrt(arr))
 
-        return fj
-
-    fam = IntegrandFamily(
-        member=member,
-        limit=member(10**9),
-        domain=UNIT,
-    )
+    fam = IntegrandFamily(member_at=member_at, domain=UNIT)
     eps = 0.05
     q = math.ceil(1.0 / eps)  # |2 - integral of f_j| = 1/j < eps for j > q
 
@@ -314,6 +309,68 @@ def test_criterion2_rejects_empty_j_list():
         )
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_criterion2_rejects_non_finite_q(q):
+    # a nan q compares false against every index, so IndexBelowQ never fires
+    with pytest.raises(ValueError, match="finite eps > 0 and q"):
+        check_criterion2(
+            paper_family(),
+            gauge_for=lambda j: const_gauge(0.1),
+            alpha2=SIN1,
+            eps=1e-2,
+            q=q,
+            j_list=[2],
+            trials=1,
+            seed=0,
+        )
+
+
+def test_criterion2_accepts_q_beyond_the_float_range():
+    with pytest.raises(IndexBelowQ):
+        check_criterion2(
+            paper_family(),
+            gauge_for=lambda j: const_gauge(0.1),
+            alpha2=SIN1,
+            eps=1e-2,
+            q=10**400,
+            j_list=[2],
+            trials=1,
+            seed=0,
+        )
+
+
+def test_criterion2_holds_one_finished_partition_at_a_time(monkeypatch):
+    # TaggedPartition has no __weakref__ slot, so its tags array stands in
+    live = []
+    held = []
+
+    def tracked(build):
+        def wrapped(*args, **kwargs):
+            held.append(sum(ref() is not None for ref in live))
+            p = build(*args, **kwargs)
+            live.append(weakref.ref(p.tags))
+            return p
+
+        return wrapped
+
+    monkeypatch.setattr(criteria, "cousin_partition", tracked(criteria.cousin_partition))
+    monkeypatch.setattr(criteria, "_random_partition", tracked(criteria._random_partition))
+    eps = 1e-2
+    q = math.ceil(1.0 / math.sqrt(eps))
+    rep = check_criterion2(
+        paper_family(),
+        gauge_for=lambda j: osc.truncated_gauge_family(j).at(0.5 * eps),
+        alpha2=SIN1,
+        eps=eps,
+        q=q,
+        j_list=[q + 1, 2 * q],
+        trials=3,
+        seed=0,
+    )
+    assert rep.trials == len(held) == 8
+    assert max(held) <= 1
+
+
 def test_criterion2_is_deterministic():
     eps = 1e-2
     q = math.ceil(1.0 / math.sqrt(eps))
@@ -382,15 +439,6 @@ def build_with_gauge(wrap):
     return p.tags.tolist(), p.lefts.tolist(), p.rights.tolist()
 
 
-def sum_with_member(wrap):
-    fam = paper_family()
-    generic = IntegrandFamily(
-        member=lambda j: wrap(fam.member(j)), limit=fam.limit, domain=fam.domain
-    )
-    p = small_partition(seed=5)
-    return variable_index_sum(generic, 1 + np.arange(len(p)) % 7, p)
-
-
 def check_with_threshold(wrap):
     sel = IndexSelector(wrap(osc.index_selector().threshold))
     return check_criterion1(
@@ -400,7 +448,7 @@ def check_with_threshold(wrap):
 
 
 @pytest.mark.parametrize(
-    "run", [build_with_gauge, sum_with_member, check_with_threshold]
+    "run", [build_with_gauge, check_with_threshold]
 )
 def test_scalar_only_callable_matches_vectorized_bitwise(run):
     assert run(scalar_only) == run(lambda fn: fn)

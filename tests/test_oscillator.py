@@ -418,7 +418,6 @@ GAUGE_CONSTRUCTORS = {
     "loop_family.at": lambda v: osc.loop_gauge_family().at(v),
     "truncated.at": lambda v: osc.truncated_gauge_family(8).at(v),
     "loop_gauge": osc.loop_gauge,
-    "smooth_scale": smooth_gauge_family,
     "truncated_j": osc.truncated_gauge_family,
 }
 
@@ -486,6 +485,14 @@ def test_family_gauge_is_monotone_in_eps():
     d_fine = fam.at(1e-4).eval_many(xs)
     d_coarse = fam.at(1e-2).eval_many(xs)
     assert np.all(d_fine <= d_coarse)
+
+
+def test_truncated_family_takes_only_positive_integer_indices():
+    # the same index rule as f_j: no gauge for a jump at 1/1.5, and a typed
+    # error where the index leaves the float range
+    for j in (1.5, 10**400):
+        with pytest.raises(ValueError, match="positive integers"):
+            osc.truncated_gauge_family(j)
 
 
 def test_truncated_family_gauge_monotone_and_positive():
