@@ -125,7 +125,7 @@ def variable_index_sum(
 
 
 def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:
-    out = _eval_points(sel.threshold, tags, dtype=None).astype(np.int64)
+    out = _eval_points(sel.threshold, tags, dtype=None).astype(np.int64, copy=False)
     if not np.all(out >= 1):
         raise ValueError("selector thresholds must be positive")
     return out

@@ -104,20 +104,19 @@ def _truncated(kernel, x, j=None):
     """kernel on the live points of x and 0 elsewhere; scalar in, scalar out.
 
     Live means x > 0, or x >= 1/j when a truncation index j (a positive
-    integer or an integer array aligned with x) is given.
+    integer or an integer array aligned with x) is given.  The kernel runs
+    on every point, with each dead one replaced by 1.0, so no mask gathers
+    or scatters; live points get the values and warnings they would alone,
+    and dead ones never warn.
     """
     if j is not None:
         _positive_indices(j)
     arr, scalar = _as_array(x)
     _check_domain(arr)
-    if j is None:
-        live = arr > 0.0
-    else:
-        jarr = np.asarray(j, dtype=float)
-        arr = np.broadcast_to(arr, np.broadcast_shapes(arr.shape, jarr.shape))
-        live = arr >= 1.0 / jarr
-    out = np.zeros(arr.shape)
-    out[live] = kernel(arr[live])
+    live = arr > 0.0 if j is None else arr >= 1.0 / np.asarray(j, dtype=float)
+    # ravel hands the kernels, which work in place, an array even for 0-d x
+    safe = np.where(live, arr, 1.0)
+    out = np.where(live, kernel(safe.ravel()).reshape(safe.shape), 0.0)
     return float(out) if scalar and out.ndim == 0 else out
 
 
@@ -367,10 +366,7 @@ def index_selector() -> IndexSelector:
 
     def threshold(x):
         arr, scalar = _as_array(x)
-        out = np.ones_like(arr)
-        pos = arr > 0.0
-        out[pos] = np.ceil(1.0 / arr[pos])
-        out = out.astype(np.int64)
+        out = np.ceil(1.0 / np.where(arr > 0.0, arr, 1.0)).astype(np.int64)
         return int(out) if scalar else out
 
     return IndexSelector(threshold)

@@ -186,16 +186,34 @@ def _build_fine(
     the trial order is a per-cell random permutation, drawn in frontier
     order.
 
+    Level block.  Each level's cells live in one flat float block
+    B = [u_p | mid_p | v_p | M]: the m cells its parent level left pending,
+    as their left ends, split points and right ends, then room for this
+    level's n = 2m split points.  The frontier is all left children
+    [u, mid] then all right children [mid, v], so U = B[:2m] and
+    V = B[m:3m] are views and the split points are written into B[3m:].
+    Level 0 is [a, b, M] with n = 1.  The gauge values dU and dV are views
+    of a 3 x m block D in the same way.  A level whose spans are not all
+    positive raises DepthExceeded: its parent reached adjacent floats.  For
+    finite doubles with gradual underflow a - b > 0 iff a > b, so this is
+    the test u < mid < v on every split.
+
+    Draws and tests.  The seeded split fraction is rng.random(n) * 0.5 +
+    0.25, formed in place, which is how Generator.uniform(0.25, 0.75, n)
+    forms it from the same doubles, so the values and the generator state
+    are those of that call; then M = U + span * w.  Once the end tests
+    have read span, its buffer holds max(M - U, V - M), and w is dropped
+    before the gauge runs.  The mid test max(M - U, V - M) < dM equals
+    (M - U < dM) & (V - M < dM), as no operand is nan.
+
     Compaction.  The accept mask is turned into index arrays once per
-    level, the accepted positions and the pending ones, and every gather is
-    a `take` on them.  The m pending cells' (u, mid, v) are gathered into
-    the rows of one 3 x m block C and their gauge values into D.  The next
-    level's 2m cells, all left children [u, mid] then all right children
-    [mid, v], are the views U = C[:2].ravel() and V = C[1:].ravel(), and
-    likewise dU and dV from D.  A level whose spans are not all positive
-    raises DepthExceeded: its parent reached adjacent floats.  For finite
-    doubles with gradual underflow a - b > 0 iff a > b, so this is the test
-    u < mid < v on every split.
+    level, the accepted positions ti and the pending ones, and every gather
+    is a `take` on them.  Cell i's candidates u, mid and v sit at B[i],
+    B[oM + i] and B[oV + i], with off = (0, oM, oV) = (0, 3m, m), or
+    (0, 2, 1) at level 0, so each accepted tag is the one element
+    B[ti + off[first]], the very float that choosing among gathered copies
+    of U, M and V would give.  The pending cells' (u, mid, v) and their
+    gauge values are gathered straight into the next level's B and D.
 
     Order.  Accepted cells tile [a, b], so their left ends are distinct and
     sorting them by value gives every point but b.  The tags need no
@@ -207,14 +225,16 @@ def _build_fine(
     strictly increase so at most one is zero, and a split-point tag of zero
     lies strictly inside its cell, which leaves no division point at zero.
     """
-    U = np.array([domain.a])
-    V = np.array([domain.b])
-    dU = g.eval_many(U)
-    dV = g.eval_many(V)
+    B = np.empty(3)
+    B[0], B[1] = domain.a, domain.b
+    n, oV, oM = 1, 1, 2
+    dU = g.eval_many(B[:1])
+    dV = g.eval_many(B[1:2])
     acc_t: list[np.ndarray] = []
     acc_u: list[np.ndarray] = []
 
     for depth in range(max_depth + 1):
+        U, V, M = B[:n], B[oV:oV + n], B[oM:]
         span = V - U
         if not (span > 0.0).all():
             raise DepthExceeded(
@@ -222,21 +242,32 @@ def _build_fine(
                 "gauge is unrepresentable there"
             )
         if rng is None:
-            M = 0.5 * (U + V)
-            code = np.zeros(U.size, dtype=np.uint8)
+            w = None
+            np.add(U, V, out=M)
+            M *= 0.5
+            code = np.zeros(n, dtype=np.uint8)
         else:
-            M = U + span * rng.uniform(0.25, 0.75, U.size)
-            code = rng.integers(0, 6, U.size).astype(np.uint8) << 3
-        dM = g.eval_many(M)
+            w = rng.random(n)
+            w *= 0.5
+            w += 0.25
+            w *= span
+            np.add(U, w, out=M)
+            code = rng.integers(0, 6, n).astype(np.uint8)
+            code <<= 3
         code |= (span < dU).view(np.uint8)
-        code |= ((M - U < dM) & (V - M < dM)).view(np.uint8) << 1
         code |= (span < dV).view(np.uint8) << 2
+        np.subtract(M, U, out=span)
+        np.maximum(span, np.subtract(V, M, out=w), out=span)
+        del w
+        dM = g.eval_many(M)
+        code |= (span < dM).view(np.uint8) << 1
         first = _FIRST.take(code)
         taken = first < 3
         ti = np.flatnonzero(taken)
-        Ut = U.take(ti)
-        acc_t.append(np.choose(first.take(ti), (Ut, M.take(ti), V.take(ti))))
-        acc_u.append(Ut)
+        at = np.array((0, oM, oV)).take(first.take(ti))
+        at += ti
+        acc_t.append(B.take(at))
+        acc_u.append(U.take(ti))
         pi = np.flatnonzero(~taken)
         m = pi.size
         if m == 0:
@@ -248,14 +279,15 @@ def _build_fine(
             )
         # pi is in range, so mode="clip" clips nothing; it spares the
         # buffered copy that take(out=...) makes under the default "raise".
-        C, D = np.empty((3, m)), np.empty((3, m))
+        C, D = np.empty((5, m)), np.empty((3, m))
         U.take(pi, out=C[0], mode="clip")
         M.take(pi, out=C[1], mode="clip")
         V.take(pi, out=C[2], mode="clip")
         dU.take(pi, out=D[0], mode="clip")
         dM.take(pi, out=D[1], mode="clip")
         dV.take(pi, out=D[2], mode="clip")
-        U, V, dU, dV = C[:2].ravel(), C[1:].ravel(), D[:2].ravel(), D[1:].ravel()
+        B, n, oV, oM = C.ravel(), 2 * m, m, 3 * m
+        dU, dV = D[:2].ravel(), D[1:].ravel()
 
     tags = np.concatenate(acc_t)
     tags.sort()

@@ -235,6 +235,38 @@ def test_partitions_are_fine_abutting_ordered_and_seed_deterministic(
             assert getattr(p, arr).tobytes() == getattr(q, arr).tobytes()
 
 
+# ------------------------------------------------- the generator's draws
+
+# The engine forms each level's split fractions as rng.random(n) * 0.5 +
+# 0.25 in place and its trial orders as rng.integers(0, 6, n); the seeded
+# partitions above equal the reference's only while these match the draws
+# the reference makes.
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, 65537])
+@pytest.mark.parametrize("seed", [0, 1, (7, 2, 3)])
+def test_in_place_split_fractions_equal_uniform_draws_bytewise(seed, n):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        w = ours.random(n)
+        w *= 0.5
+        w += 0.25
+        assert w.tobytes() == theirs.uniform(0.25, 0.75, n).tobytes()
+        assert ours.integers(0, 6, n).tobytes() == theirs.integers(0, 6, n).tobytes()
+    assert ours.random() == theirs.random()
+
+
+def test_trial_order_draws_are_unchanged():
+    # frozen int64 draws, alone and after a level's split fractions: a
+    # numpy that changes them changes every seeded partition
+    got = np.random.default_rng(0).integers(0, 6, 12)
+    assert got.dtype == np.int64
+    assert got.tolist() == [5, 3, 3, 1, 1, 0, 0, 0, 1, 4, 3, 5]
+    after = np.random.default_rng((7, 2, 3))
+    after.random(3)
+    assert after.integers(0, 6, 8).tolist() == [2, 1, 5, 1, 5, 0, 5, 1]
+
+
 # ------------------------------------------------------------ branches
 
 @pytest.mark.parametrize("seed", SEEDS[:2])

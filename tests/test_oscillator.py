@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gaugequad import (
     smooth_gauge_family,
 )
 from gaugequad import oscillator as osc
+from gaugequad.criteria import _positive_indices
 from gaugequad.oscillator import loop_root
 
 SIN1 = 0.8414709848078965
@@ -81,6 +83,41 @@ def reference_loop_family_delta(x, eps):
 # The earlier integrand kernel, fig1 - fig2 as two separate curves.
 def reference_raw_f(x):
     return osc._sin_term(x) - osc._cos_term(x)
+
+
+# The earlier truncation, verbatim apart from its name: the kernel on the
+# boolean gather of the live points, scattered into zeros.  `_truncated`
+# must match it bit for bit.
+def reference_truncated(kernel, x, j=None):
+    """kernel on the live points of x and 0 elsewhere; scalar in, scalar out.
+
+    Live means x > 0, or x >= 1/j when a truncation index j (a positive
+    integer or an integer array aligned with x) is given.
+    """
+    if j is not None:
+        _positive_indices(j)
+    arr, scalar = osc._as_array(x)
+    osc._check_domain(arr)
+    if j is None:
+        live = arr > 0.0
+    else:
+        jarr = np.asarray(j, dtype=float)
+        arr = np.broadcast_to(arr, np.broadcast_shapes(arr.shape, jarr.shape))
+        live = arr >= 1.0 / jarr
+    out = np.zeros(arr.shape)
+    out[live] = kernel(arr[live])
+    return float(out) if scalar and out.ndim == 0 else out
+
+
+# The earlier criterion-1 threshold, verbatim apart from its name: ceil(1/x)
+# on a boolean gather of the positive points, 1 elsewhere.
+def reference_threshold(x):
+    arr, scalar = osc._as_array(x)
+    out = np.ones_like(arr)
+    pos = arr > 0.0
+    out[pos] = np.ceil(1.0 / arr[pos])
+    out = out.astype(np.int64)
+    return int(out) if scalar else out
 
 
 # ------------------------------------------------------------ the family
@@ -209,6 +246,85 @@ def test_f_j_vectorized_over_indices():
     assert out[0] == osc.f_j(30, 0.05)
     assert out[1] == osc.f_j(4, 0.2)
     assert out[2] == osc.f_j(2, 0.6)
+
+
+TRUNCATED = [
+    pytest.param(osc.f, osc._raw_f, False, id="f"),
+    pytest.param(osc.F, osc._raw_F, False, id="F"),
+    pytest.param(osc.f_j, osc._raw_f, True, id="f_j"),
+    pytest.param(osc.F_j, osc._raw_F, True, id="F_j"),
+]
+
+
+def assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert got == want
+
+
+@pytest.mark.parametrize("fn, kernel, indexed", TRUNCATED)
+def test_truncated_kernels_match_reference_bitwise(fn, kernel, indexed):
+    rng = np.random.default_rng(5)
+    # and every 1/j with the float just below it
+    cuts = 1.0 / np.arange(1.0, 400.0)
+    xs = np.concatenate([_f_points(rng), cuts, np.nextafter(cuts, 0.0)])
+    scalars = [0.0, -0.0, 1.0, 0.05, 0.1, 1.0 / 3.0, float(loop_root(7))]
+    if not indexed:
+        assert_same(fn(xs), reference_truncated(kernel, xs))
+        for x in scalars:
+            assert_same(fn(x), reference_truncated(kernel, x))
+        return
+    int_js = rng.integers(1, 10**6, xs.size)
+    indices = [
+        1, 10, 320, 320.0, 10**20, int_js, int_js.astype(float),
+        # a column of indices against a row of points
+        np.array([[1], [7], [320], [10**6]]),
+    ]
+    for j in indices:
+        assert_same(fn(j, xs), reference_truncated(kernel, xs, j))
+        for x in scalars:
+            assert_same(fn(j, x), reference_truncated(kernel, x, j))
+    column = np.array([[2], [30]])
+    assert_same(fn(column, 0.1), reference_truncated(kernel, 0.1, column))
+
+
+def test_dead_points_never_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert osc.f(0.0) == 0.0
+        assert osc.f_j(10, 0.05) == 0.0
+        assert osc.F_j(10**6, np.array([0.0, 1e-170])).tolist() == [0.0, 0.0]
+
+
+def test_live_points_keep_their_warnings():
+    # x x underflows to 0 at a live point, so 1/(x x) warns, as it always has
+    with pytest.warns(RuntimeWarning):
+        osc.f(1e-170)
+    with pytest.warns(RuntimeWarning):
+        osc.f_j(10**200, np.array([0.5, 1e-170]))
+
+
+def test_index_selector_threshold_matches_reference_bitwise():
+    rng = np.random.default_rng(9)
+    # 1/x stays below 2**63, where both thresholds cast to int64 exactly
+    xs = np.concatenate([
+        [0.0, -0.0, 1.0, 0.5, 1e-18],
+        1.0 / np.arange(1.0, 500.0),
+        rng.uniform(0.0, 1.0, 5000),
+        np.exp(rng.uniform(math.log(1e-18), 0.0, 5000)),
+    ])
+    threshold = osc.index_selector().threshold
+    got, want = threshold(xs), reference_threshold(xs)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tobytes() == want.tobytes()
+    assert threshold(np.empty(0)).tobytes() == reference_threshold(np.empty(0)).tobytes()
+    for x in (0.0, 1.0, 0.3, 1.0 / 3.0, 1e-18):
+        assert type(threshold(x)) is int
+        assert threshold(x) == reference_threshold(x)
 
 
 def test_primitive_values():
