@@ -59,12 +59,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gaugequad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, accuracy_flag="--tol"):
+    def common(p, accuracy_flag="--tol", formats=True):
         p.add_argument(accuracy_flag, type=float, default=1e-3)
         p.add_argument("--trials", type=int, default=4)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        if formats:
+            p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", type=str, default=None)
 
     p_int = sub.add_parser("integrate", help="integrate a built-in function")
@@ -89,21 +90,23 @@ def build_parser() -> _Parser:
     common(p_conv, "--eps")
 
     p_demo = sub.add_parser("demo", help="headline walkthrough")
-    common(p_demo)
+    common(p_demo, formats=False)  # demo prints one text walkthrough
 
     return parser
 
 
 def _resolve_seed(ns) -> int:
-    if getattr(ns, "seed", None) is not None:
-        return ns.seed
-    env = os.environ.get("GAUGEQUAD_SEED")
-    if env is not None:
+    """--seed, else GAUGEQUAD_SEED, else 0; a negative seed is a usage error."""
+    source, seed = "--seed", ns.seed
+    if seed is None:
+        source, env = "GAUGEQUAD_SEED", os.environ.get("GAUGEQUAD_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise _UsageError(f"GAUGEQUAD_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise _UsageError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _validate_run(ns) -> None:

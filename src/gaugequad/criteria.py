@@ -17,17 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IndexBelowQ, LengthMismatch, NonFiniteValue
-from .integrator import _dot, riemann_sum
-from .partition import (
-    DEFAULT_MAX_DEPTH,
-    Gauge,
-    Interval,
-    TaggedPartition,
-    _eval_points,
-    cousin_partition,
-)
-# An alias, not a direct call, because bench/tracer.py rebinds this name.
-from .partition import random_delta_fine_partition as _random_partition
+from .integrator import _dot, _partitions, riemann_sum
+from .partition import DEFAULT_MAX_DEPTH, Gauge, Interval, TaggedPartition, _eval_points
 
 __all__ = [
     "IntegrandFamily",
@@ -121,7 +112,7 @@ def variable_index_sum(
     values = np.asarray(fam.member_at(idx, p.tags), dtype=float)
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue("family member non-finite at a tag")
-    return _dot(values, p.lengths, False)
+    return _dot(values, p.lengths)
 
 
 def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:
@@ -152,10 +143,9 @@ def check_criterion1(
     """
     if not (math.isfinite(eps) and eps > 0.0) or trials < 1 or index_headroom < 1:
         raise ValueError("finite eps > 0, trials >= 1, index_headroom >= 1 required")
-    gauge = gf.at(eps)
     devs = []
-    for i in range(trials):
-        p = _random_partition(fam.domain, gauge, [seed, 1, i], max_depth)
+    parts = _partitions(fam.domain, gf.at(eps), [seed, 1], trials, False, max_depth)
+    for i, p in enumerate(parts):
         rng = np.random.default_rng([seed, 2, i])
         idx = _thresholds(sel, p.tags) + rng.integers(1, index_headroom + 1, size=len(p))
         devs.append(abs(alpha1 - variable_index_sum(fam, idx, p)))
@@ -193,13 +183,9 @@ def check_criterion2(
             raise IndexBelowQ(f"index {j} not above q = {q}")
     devs = []
     for jn, j in enumerate(j_list):
-        gauge = gauge_for(int(j))
         fj = partial(fam.member_at, int(j))
-        p = cousin_partition(fam.domain, gauge, max_depth)
-        devs.append(abs(alpha2 - riemann_sum(fj, p)))
-        for t in range(trials):
-            p = _random_partition(fam.domain, gauge, [seed, 3, jn, t], max_depth)
-            devs.append(abs(alpha2 - riemann_sum(fj, p)))
+        parts = _partitions(fam.domain, gauge_for(int(j)), [seed, 3, jn], trials, True, max_depth)
+        devs.extend(abs(alpha2 - riemann_sum(fj, p)) for p in parts)
     return _report(alpha2, eps, 2.0 * eps, devs)
 
 

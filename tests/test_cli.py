@@ -237,6 +237,12 @@ def test_demo_runs(capsys):
     assert "n=8" in out
 
 
+def test_demo_has_no_format_option(capsys):
+    assert run(capsys, ["demo", "--tol", "1e-2", "--format", "json"]) == (
+        1, "", "error: unrecognized arguments: --format json\n"
+    )
+
+
 # ---------------------------------------------------------- reproducibility
 
 def test_identical_config_gives_byte_identical_output(capsys):
@@ -264,6 +270,16 @@ def test_env_seed_must_be_integer(capsys, monkeypatch):
     code, _, err = run(capsys, ["integrate", "poly-1", "--tol", "1e-4"])
     assert code == 1
     assert "GAUGEQUAD_SEED" in err
+
+
+def test_negative_seed_is_usage_error(capsys, monkeypatch):
+    assert run(capsys, ["integrate", "poly-2", "--seed", "-1"]) == (
+        1, "", "error: --seed must be >= 0, got -1\n"
+    )
+    monkeypatch.setenv("GAUGEQUAD_SEED", "-1")
+    assert run(capsys, ["integrate", "poly-1"]) == (
+        1, "", "error: GAUGEQUAD_SEED must be >= 0, got -1\n"
+    )
 
 
 def test_json_round_trips_to_same_doubles(capsys):

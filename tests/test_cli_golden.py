@@ -73,6 +73,9 @@ _USAGE_ERRORS = [
     ["demo", "--tol", "-1"],
     ["demo", "--trials", "1"],
     ["demo", "--max-depth", "200"],
+    ["integrate", "poly-2", "--seed", "-1"],
+    ["GAUGEQUAD_SEED=-1", "integrate", "poly-1"],
+    ["demo", "--format", "json"],
 ]
 
 CONFIGS = (

@@ -16,12 +16,13 @@ from gaugequad import (
     check_criterion2,
     check_criterion3,
     cousin_partition,
+    gauge_integrate,
     random_delta_fine_partition,
     riemann_sum,
     smooth_gauge_family,
     variable_index_sum,
 )
-from gaugequad import criteria
+from gaugequad import integrator
 from gaugequad import oscillator as osc
 
 from conftest import const_gauge
@@ -339,7 +340,45 @@ def test_criterion2_accepts_q_beyond_the_float_range():
         )
 
 
-def test_criterion2_holds_one_finished_partition_at_a_time(monkeypatch):
+def _criterion1_builds():
+    rep = check_criterion1(
+        paper_family(),
+        osc.loop_gauge_family(),
+        osc.index_selector(),
+        alpha1=SIN1,
+        eps=1e-2,
+        trials=3,
+        index_headroom=10,
+        seed=0,
+    )
+    return rep.trials
+
+
+def _criterion2_builds():
+    eps = 1e-2
+    q = math.ceil(1.0 / math.sqrt(eps))
+    rep = check_criterion2(
+        paper_family(),
+        gauge_for=lambda j: osc.truncated_gauge_family(j).at(0.5 * eps),
+        alpha2=SIN1,
+        eps=eps,
+        q=q,
+        j_list=[q + 1, 2 * q],
+        trials=3,
+        seed=0,
+    )
+    assert rep.trials == 8
+    return rep.trials
+
+
+def _gauge_integrate_builds():
+    est = gauge_integrate(lambda x: x**3, smooth_gauge_family(), UNIT, 1e-3, trials=3)
+    assert est.converged
+    return 4  # one level: the cousin partition and three trials
+
+
+def _held_per_build(monkeypatch, run):
+    """The number of built partitions still alive as each build of run() starts."""
     # TaggedPartition has no __weakref__ slot, so its tags array stands in
     live = []
     held = []
@@ -353,22 +392,22 @@ def test_criterion2_holds_one_finished_partition_at_a_time(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(criteria, "cousin_partition", tracked(criteria.cousin_partition))
-    monkeypatch.setattr(criteria, "_random_partition", tracked(criteria._random_partition))
-    eps = 1e-2
-    q = math.ceil(1.0 / math.sqrt(eps))
-    rep = check_criterion2(
-        paper_family(),
-        gauge_for=lambda j: osc.truncated_gauge_family(j).at(0.5 * eps),
-        alpha2=SIN1,
-        eps=eps,
-        q=q,
-        j_list=[q + 1, 2 * q],
-        trials=3,
-        seed=0,
-    )
-    assert rep.trials == len(held) == 8
-    assert max(held) <= 1
+    # every sampling loop builds through the driver's integrator bindings
+    monkeypatch.setattr(integrator, "cousin_partition", tracked(integrator.cousin_partition))
+    monkeypatch.setattr(integrator, "_random_partition", tracked(integrator._random_partition))
+    assert run() == len(held)
+    return held
+
+
+def test_criterion2_holds_one_finished_partition_at_a_time(monkeypatch):
+    assert max(_held_per_build(monkeypatch, _criterion2_builds)) <= 1
+
+
+@pytest.mark.parametrize(
+    "run", [_criterion1_builds, _gauge_integrate_builds], ids=["criterion1", "gauge_integrate"]
+)
+def test_sampling_loop_holds_one_finished_partition_at_a_time(monkeypatch, run):
+    assert max(_held_per_build(monkeypatch, run)) <= 1
 
 
 def test_criterion2_is_deterministic():

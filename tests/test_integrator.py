@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaugequad import (
+    DepthExceeded,
     Gauge,
     GaugeFamily,
     Interval,
@@ -18,9 +19,11 @@ from gaugequad import (
     sum_defect,
 )
 from gaugequad import oscillator as osc
+from gaugequad.integrator import _partitions
 
 from conftest import const_gauge
 
+UNIT = Interval(0.0, 1.0)
 HALVES = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
 
 
@@ -43,7 +46,6 @@ def test_riemann_sum_rejects_nonfinite_integrand():
             riemann_sum(lambda x: 1.0 / (np.asarray(x, dtype=float) - 0.25), HALVES)
 
 
-@pytest.mark.parametrize("compensated", [False, True])
 @pytest.mark.parametrize(
     "domain, gauge, f",
     [
@@ -54,12 +56,12 @@ def test_riemann_sum_rejects_nonfinite_integrand():
     ],
     ids=["overflow", "inf-minus-inf"],
 )
-def test_riemann_sum_out_of_range_is_typed(domain, gauge, f, compensated):
+def test_riemann_sum_out_of_range_is_typed(domain, gauge, f):
     from gaugequad import cousin_partition
 
     p = cousin_partition(domain, const_gauge(gauge))
     with pytest.raises(NonFiniteValue):
-        riemann_sum(f, p, compensated=compensated)
+        riemann_sum(f, p)
 
 
 def test_riemann_sum_scalar_only_callable_fallback():
@@ -91,14 +93,6 @@ def test_riemann_sum_linearity_within_ulp_budget():
         assert abs(lhs - rhs) <= 4 * np.finfo(float).eps * max(scale, 1.0)
 
 
-def test_compensated_flag_close_to_plain():
-    p = HALVES
-    f = lambda x: np.asarray(x, dtype=float) ** 2  # noqa: E731
-    assert riemann_sum(f, p, compensated=True) == pytest.approx(
-        riemann_sum(f, p), rel=1e-15
-    )
-
-
 # ------------------------------------------------------------- sum_defect
 
 def test_sum_defect_midpoint_exact_for_linear():
@@ -108,6 +102,53 @@ def test_sum_defect_midpoint_exact_for_linear():
 def test_sum_defect_zero_functions():
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))  # noqa: E731
     assert sum_defect(zero, zero, HALVES) == 0.0
+
+
+# ------------------------------------------------------------ _partitions
+
+DRIVER_GAUGE = Gauge(lambda x: 0.02 + np.asarray(x, dtype=float) / 8.0)
+
+
+def _same_bytes(p, q):
+    return p.tags.tobytes() == q.tags.tobytes() and p.points.tobytes() == q.points.tobytes()
+
+
+def test_partitions_match_direct_builds_cousin_first():
+    from gaugequad import cousin_partition, random_delta_fine_partition
+
+    got = list(_partitions(UNIT, DRIVER_GAUGE, [7, 3], 3, True, 40))
+    want = [cousin_partition(UNIT, DRIVER_GAUGE, 40)] + [
+        random_delta_fine_partition(UNIT, DRIVER_GAUGE, [7, 3, t], 40) for t in range(3)
+    ]
+    assert len(got) == len(want) == 4
+    assert all(_same_bytes(p, q) for p, q in zip(got, want))
+
+
+def test_partitions_without_cousin_yields_only_the_trials():
+    from gaugequad import random_delta_fine_partition
+
+    got = list(_partitions(UNIT, DRIVER_GAUGE, [5], 4, False, 40))
+    assert len(got) == 4
+    for t, p in enumerate(got):
+        assert _same_bytes(p, random_delta_fine_partition(UNIT, DRIVER_GAUGE, [5, t], 40))
+
+
+def test_partitions_propagates_depth_exceeded(monkeypatch):
+    from gaugequad import integrator
+
+    build = integrator._random_partition
+
+    def build_then_fail(domain, g, seed, max_depth):
+        if seed[-1] == 1:
+            raise DepthExceeded("trial 1 too deep")
+        return build(domain, g, seed, max_depth)
+
+    # the driver looks its builders up at call time, so this rebinding reaches it
+    monkeypatch.setattr(integrator, "_random_partition", build_then_fail)
+    parts = _partitions(UNIT, DRIVER_GAUGE, [0], 3, True, 40)
+    next(parts), next(parts)
+    with pytest.raises(DepthExceeded, match="trial 1"):
+        next(parts)
 
 
 # --------------------------------------------------------- gauge_integrate
