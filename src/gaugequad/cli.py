@@ -7,8 +7,7 @@ bookkeeping), converge (criterion checkers), demo (headline walkthrough).
 Exit codes: 0 success, 1 usage error, 2 non-convergence (including a
 gauge too fine for the bisection depth) or failed check.
 CSV output uses 17 significant digits so doubles round-trip; identical
-configurations (including seed) produce byte-identical output for a fixed
-BLAS thread count.
+configurations (including seed) produce byte-identical output.
 """
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IndexBelowQ, LengthMismatch, NonFiniteValue
-from .integrator import _dot, _partitions, riemann_sum
+from .integrator import _block_sum, _overlapped, _partitions, riemann_sum
 from .partition import DEFAULT_MAX_DEPTH, Gauge, Interval, TaggedPartition, _eval_points
 
 __all__ = [
@@ -104,15 +104,24 @@ def variable_index_sum(
 ) -> float:
     """sum of f_{indices[i]}(tag_i) * |I_i| in cell order.
 
-    One call member_at(indices, tags) evaluates every cell.  With all
-    indices equal to j this reduces bitwise to
-    riemann_sum(partial(fam.member_at, j), p).
+    Follows riemann_sum's block rule: one call member_at(indices[i:j],
+    tags[i:j]) evaluates each block of at most 2**16 cells, and the block
+    totals are added in cell order.  With all indices equal to j this
+    reduces bitwise to riemann_sum(partial(fam.member_at, j), p).  Called
+    by check_criterion1, it runs on a worker thread while the caller's
+    thread evaluates the next partition's gauge, so the family and the
+    gauge must not share unsynchronised mutable state.
     """
     idx = _indices_array(indices, len(p))
-    values = np.asarray(fam.member_at(idx, p.tags), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue("family member non-finite at a tag")
-    return _dot(values, p.lengths)
+    tags = p.tags
+
+    def values(i: int, j: int) -> np.ndarray:
+        out = np.asarray(fam.member_at(idx[i:j], tags[i:j]), dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteValue("family member non-finite at a tag")
+        return out
+
+    return _block_sum(values, p)
 
 
 def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:
@@ -140,16 +149,24 @@ def check_criterion1(
     (threshold(tag), threshold(tag) + index_headroom].  A clean report is
     evidence for the criterion whose conclusion is that the limit function
     integrates to alpha1.
+
+    Each partition's index draw and variable-index sum run on a worker
+    thread while the caller's thread builds the next partition, so the
+    family and selector run on the worker and the gauge on the caller's
+    thread: they must not share unsynchronised mutable state.  Sums follow
+    riemann_sum's block rule.  A negative seed raises ValueError before any
+    build.
     """
     if not (math.isfinite(eps) and eps > 0.0) or trials < 1 or index_headroom < 1:
         raise ValueError("finite eps > 0, trials >= 1, index_headroom >= 1 required")
-    devs = []
-    parts = _partitions(fam.domain, gf.at(eps), [seed, 1], trials, False, max_depth)
-    for i, p in enumerate(parts):
+
+    def deviation(i: int, p: TaggedPartition) -> float:
         rng = np.random.default_rng([seed, 2, i])
         idx = _thresholds(sel, p.tags) + rng.integers(1, index_headroom + 1, size=len(p))
-        devs.append(abs(alpha1 - variable_index_sum(fam, idx, p)))
-    return _report(alpha1, eps, eps, devs)
+        return abs(alpha1 - variable_index_sum(fam, idx, p))
+
+    parts = _partitions(fam.domain, gf.at(eps), [seed, 1], trials, False, max_depth)
+    return _report(alpha1, eps, eps, _overlapped(deviation, parts))
 
 
 def check_criterion2(
@@ -168,9 +185,13 @@ def check_criterion2(
     q must be finite, and each j in j_list a positive integer (ValueError
     otherwise) that exceeds q (IndexBelowQ otherwise).  Each j gets its own
     gauge via gauge_for(j), following the per-index gauge construction, and
-    its cousin partition plus `trials` seeded ones, each summed as soon as
-    it is built.  The acceptance band is 2*eps, the bound the triangle
-    inequality yields.
+    its cousin partition plus `trials` seeded ones.  Each partition is
+    summed on a worker thread while the caller's thread builds the next
+    one, across j values too, so f_j runs on the worker and gauge_for and
+    its gauges on the caller's thread: they must not share unsynchronised
+    mutable state.  Sums follow riemann_sum's block rule.  A negative seed
+    raises ValueError before any build.  The acceptance band is 2*eps, the
+    bound the triangle inequality yields.
     """
     # chained comparisons, not math.isfinite, so that a Python int q
     # beyond the float range still counts as finite
@@ -181,11 +202,15 @@ def check_criterion2(
     for j in j_list:
         if j <= q:
             raise IndexBelowQ(f"index {j} not above q = {q}")
-    devs = []
-    for jn, j in enumerate(j_list):
-        fj = partial(fam.member_at, int(j))
-        parts = _partitions(fam.domain, gauge_for(int(j)), [seed, 3, jn], trials, True, max_depth)
-        devs.extend(abs(alpha2 - riemann_sum(fj, p)) for p in parts)
+
+    def stream():  # every j's partitions as one stream, so the overlap never drains
+        for jn, j in enumerate(j_list):
+            fj = partial(fam.member_at, int(j))
+            for p in _partitions(fam.domain, gauge_for(int(j)), [seed, 3, jn], trials, True, max_depth):
+                yield fj, p
+                del p  # not held while the next partition builds
+
+    devs = _overlapped(lambda _, fj_p: abs(alpha2 - riemann_sum(*fj_p)), stream())
     return _report(alpha2, eps, 2.0 * eps, devs)
 
 

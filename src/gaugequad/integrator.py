@@ -8,7 +8,9 @@ definition quantifies over all fine partitions, which is uncheckable.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -25,6 +27,7 @@ from .partition import (
     Gauge,
     Interval,
     TaggedPartition,
+    _check_seed,
     _eval_points,
     cousin_partition,
 )
@@ -129,23 +132,47 @@ def _eval_values(f: RealFunction, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dot(values: np.ndarray, weights: np.ndarray) -> float:
-    """Single summation path shared by every sum operation: a BLAS dot product.
+#: Cells per block of a Riemann sum.  Fixed, so a sum's rounding depends on
+#: neither the machine's BLAS nor its thread count.
+_BLOCK = 1 << 16
 
-    Its order of accumulation depends on the BLAS kernel and thread count,
-    so its last bits can vary between machines and thread settings.  Finite
-    terms whose products or sum leave the float range raise NonFiniteValue.
+
+def _block_sum(values: Callable[[int, int], np.ndarray], p: TaggedPartition) -> float:
+    """The one summation rule: sum of values(i, j) * |cell| in cell order.
+
+    For each block of _BLOCK cells [i, j) in cell order, the block's lengths
+    are multiplied by values(i, j), the integrand on those cells, and
+    np.sum of the products is added to a Python float.  The integrand is
+    evaluated one block at a time, so its values never span the partition.
+    Finite terms whose products or sum leave the float range raise
+    NonFiniteValue.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(values @ weights)
+    points, n = p.points, len(p)
+    total = 0.0
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
+        v = values(i, j)  # outside the errstate below: the caller's applies
+        w = points[i + 1 : j + 1] - points[i:j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w *= v
+            total += float(w.sum())
     if not math.isfinite(total):
         raise NonFiniteValue(f"sum leaves the float range: {total}")
     return total
 
 
 def riemann_sum(f: RealFunction, p: TaggedPartition) -> float:
-    """(P) sum of f(tag) * |cell| over the partition, in cell order."""
-    return _dot(_eval_values(f, p.tags), p.lengths)
+    """(P) sum of f(tag) * |cell| over the partition.
+
+    Follows the block rule of _block_sum: f is called on one block of at
+    most 2**16 tags at a time, and the block totals are added in cell order,
+    so the result does not depend on BLAS or its thread count.  Called by
+    gauge_integrate or a criterion checker, it runs on a worker thread
+    while the caller's thread evaluates the gauge for the next partition,
+    so f and the gauge must not share unsynchronised mutable state.
+    """
+    tags = p.tags
+    return _block_sum(lambda i, j: _eval_values(f, tags[i:j]), p)
 
 
 def sum_defect(F: RealFunction, f: RealFunction, p: TaggedPartition) -> float:
@@ -172,14 +199,71 @@ def _partitions(
     """The sampled partitions of one gauge, built one at a time.
 
     Yields the cousin partition first when `cousin` is true, then `trials`
-    seeded partitions, trial t drawn from the seed [*seed_prefix, t].  Both
+    seeded partitions, trial t drawn from the seed [*seed_prefix, t].  A
+    negative seed entry raises ValueError before the first build.  Both
     builders are looked up as this module's globals at every call, so a
     rebinding of either name reaches every build.
     """
+    _check_seed(seed_prefix)
     if cousin:
         yield cousin_partition(domain, gauge, max_depth)
     for t in range(trials):
         yield _random_partition(domain, gauge, [*seed_prefix, t], max_depth)
+
+
+def _overlapped(total: Callable, parts: Iterator) -> list:
+    """[total(i, p) for i, p in enumerate(parts)], each total overlapping
+    the build of the next partition.
+
+    total(i, p_k) runs on a worker thread while this thread builds
+    p_{k+1}, and is joined before total(i + 1, p_{k+1}) starts, so at most
+    one total is in flight and no thread outlives the call.  This frame
+    drops p_k before it asks for p_{k+1}, so a partition is freed as soon
+    as it is summed.  The worker runs in a copy of the caller's context, so
+    the caller's np.errstate reaches the integrand.  Errors surface in
+    sequence order: if total k fails and building p_{k+1} fails too, total
+    k's error is raised, as if p_{k+1} had never been built.
+    """
+    results: list = []
+    jobs: list = []  # the total in flight, as at most one (thread, outcome)
+
+    def start(i, p):
+        outcome: list = []
+        run = contextvars.copy_context().run
+
+        def work():
+            try:
+                outcome.append((True, run(total, i, p)))
+            except BaseException as exc:
+                outcome.append((False, exc))
+
+        thread = threading.Thread(target=work, name="gaugequad-sum")
+        thread.start()
+        jobs.append((thread, outcome))
+
+    def finish():
+        thread, outcome = jobs[0]
+        thread.join()
+        del jobs[0]
+        ((ok, value),) = outcome
+        if not ok:
+            raise value
+        results.append(value)
+
+    i = 0  # counted here: enumerate's reused tuple would keep p_k alive
+    try:
+        for p in parts:
+            if jobs:
+                finish()
+            start(i, p)
+            del p
+            i += 1
+    finally:
+        # the last total, after the last build or a failed one; its own
+        # error replaces a build error
+        while jobs:
+            finish()
+    return results
 
 
 def gauge_integrate(
@@ -203,7 +287,13 @@ def gauge_integrate(
 
     Deterministic given (seed, tol, trials): per-trial generators are
     derived from (seed, level, trial index), so trials are order
-    independent.
+    independent.  A negative seed raises ValueError before any build.
+
+    Each sum runs on a worker thread while the caller's thread builds the
+    next partition, so f runs on the worker and the gauge on the caller's
+    thread: the two must not share unsynchronised mutable state.  The
+    caller's np.errstate applies to both.  Sums follow riemann_sum's block
+    rule.
 
     Returns converged=False (with the last completed estimate) when the
     gauge family outruns float representability before the sums settle.
@@ -218,16 +308,15 @@ def gauge_integrate(
     last: IntegralEstimate | None = None
     eps = tol
     for level in range(_MAX_LEVELS):
-        sums = []
         try:
-            for p in _partitions(domain, gf.at(eps), [seed, level], trials, True, max_depth):
-                if not sums:
-                    cells = len(p)  # the cousin partition's
-                sums.append(riemann_sum(f, p))
+            parts = _partitions(domain, gf.at(eps), [seed, level], trials, True, max_depth)
+            sized = _overlapped(lambda i, p: (len(p), riemann_sum(f, p)), parts)
         except DepthExceeded:
             if last is None:
                 raise
             break
+        cells = sized[0][0]  # the cousin partition's
+        sums = [s for _, s in sized]
         lo, hi = min(sums), max(sums)
         spread = hi - lo
         last = IntegralEstimate(
@@ -267,8 +356,7 @@ def riemann_unboundedness_witness(
     tags = 0.5 * (lefts + rights)
     first_len = float(rights[0] - lefts[0])
 
-    rest = _eval_values(f, tags[1:])
-    rest_sum = float(rest @ (rights[1:] - lefts[1:]))
+    rest_sum = riemann_sum(f, TaggedPartition(tags[1:], edges[1:]))
     target = abs(bound) + abs(rest_sum)
 
     # geometric sweep of candidate tags toward domain.a, batched

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -325,9 +326,22 @@ def random_delta_fine_partition(
     Randomness enters through bisection points (uniform in the middle half
     of each cell) and through the per-cell candidate-tag order.  The result
     is deterministic for a fixed seed, which may be an int or a sequence of
-    ints such as (seed, level, trial).
+    ints such as (seed, level, trial).  A negative entry raises ValueError
+    before the build starts.
     """
+    _check_seed(seed)
     return _fine_partition(domain, g, max_depth, np.random.default_rng(seed))
+
+
+def _check_seed(seed) -> None:
+    """ValueError naming `seed` if any of its integer entries is negative.
+
+    numpy rejects one too, but with an untyped message and only once its
+    generator is made, which a sampling loop reaches after other builds.
+    """
+    entries = np.ravel(np.array(seed, dtype=object))
+    if any(isinstance(s, numbers.Integral) and s < 0 for s in entries):
+        raise ValueError(f"seed entries must be non-negative integers, got {seed!r}")
 
 
 def _fine_partition(

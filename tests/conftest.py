@@ -13,3 +13,29 @@ def unit_interval():
     from gaugequad import Interval
 
     return Interval(0.0, 1.0)
+
+
+#: Cell counts at and around the edges of the 2**16-cell summation blocks.
+BLOCK_EDGES = [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7]
+
+
+def block_sum_reference(p, values) -> float:
+    """The summation rule, written out: np.sum(lengths[i:j] * values[i:j])
+    over consecutive 2**16-cell blocks, added left to right as Python floats."""
+    lengths = p.points[1:] - p.points[:-1]
+    total = 0.0
+    for i in range(0, len(p), 1 << 16):
+        j = i + (1 << 16)
+        total += float(np.sum(lengths[i:j] * values[i:j]))
+    return total
+
+
+def partition_of_size(n: int):
+    """A tagged partition of n cells with irregular lengths and tags."""
+    from gaugequad import TaggedPartition
+
+    rng = np.random.default_rng(n)
+    points = np.cumsum(rng.uniform(0.5, 1.5, n + 1))
+    points = (points - points[0]) / (points[-1] - points[0])  # on [0, 1]
+    tags = np.minimum(points[:-1] + rng.random(n) * np.diff(points), points[1:])
+    return TaggedPartition(tags, points)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +307,27 @@ def test_csv_format_integrate(capsys):
     cols = dict(zip(header.split(","), row.split(",")))
     assert abs(float(cols["value"]) - 0.5) < 1e-5
     assert cols["converged"] == "True"
+
+
+# ----------------------------------------------------------- BLAS threads
+
+def test_printed_sums_do_not_depend_on_blas_threads():
+    # every Riemann sum follows the fixed block rule, so no digit depends on
+    # how many threads a BLAS would use
+    runs = [
+        ["integrate", "f", "--tol", "1e-2", "--format", "json"],
+        ["converge", "all", "--eps", "1e-2", "--format", "json"],
+    ]
+    script = f"from gaugequad.cli import main\nfor argv in {runs!r}:\n    main(argv)\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        env.pop("GAUGEQUAD_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 2

@@ -2,8 +2,9 @@
 
 `cli_golden.json` records stdout, stderr and exit code for every entry of
 CONFIGS.  The whole matrix runs in one subprocess with BLAS and OpenMP pinned
-to one thread: the summation order of `@`, and so the last digits of some
-printed sums, depends on the BLAS thread count.
+to one thread.  Printed sums do not depend on that pin: every Riemann sum
+adds fixed 2**16-cell blocks in cell order without BLAS, which
+test_cli.py checks at one and two threads.
 
 A leading NAME=value item of a configuration sets that environment variable
 for the one call, as in a shell.  Regenerate the file, only when an output

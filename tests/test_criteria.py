@@ -1,4 +1,5 @@
 import math
+import time
 import weakref
 
 import numpy as np
@@ -25,7 +26,7 @@ from gaugequad import (
 from gaugequad import integrator
 from gaugequad import oscillator as osc
 
-from conftest import const_gauge
+from conftest import BLOCK_EDGES, block_sum_reference, const_gauge, partition_of_size
 
 SIN1 = math.sin(1.0)
 UNIT = Interval(0.0, 1.0)
@@ -54,9 +55,9 @@ def test_fixed_indices_reduce_to_riemann_sum_bitwise():
 
 
 def per_point_sum(idx, p):
-    """The oracle: f_j(j_i, t_i) one point at a time, dotted with the lengths."""
+    """The oracle: f_j(j_i, t_i) one point at a time, summed by the block rule."""
     values = [osc.f_j(int(j), float(t)) for j, t in zip(idx, p.tags)]
-    return float(np.array(values) @ p.lengths)
+    return block_sum_reference(p, np.array(values))
 
 
 def test_mixed_indices_match_per_point_oracle_bitwise():
@@ -84,6 +85,14 @@ def test_admissible_indices_give_f_sum_bitwise():
         for _ in range(20):
             idx = thresholds + rng.integers(1, 50, size=len(p))
             assert variable_index_sum(fam, idx, p) == target
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_variable_index_sum_follows_the_block_rule_bitwise(n):
+    p = partition_of_size(n)
+    idx = np.random.default_rng(1).integers(1, 40, size=n)
+    expected = block_sum_reference(p, osc.f_j(idx, p.tags))
+    assert variable_index_sum(paper_family(), idx, p) == expected
 
 
 def test_variable_index_sum_validates_lengths_and_values():
@@ -408,6 +417,74 @@ def test_criterion2_holds_one_finished_partition_at_a_time(monkeypatch):
 )
 def test_sampling_loop_holds_one_finished_partition_at_a_time(monkeypatch, run):
     assert max(_held_per_build(monkeypatch, run)) <= 1
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_criterion1_builds, _criterion2_builds, _gauge_integrate_builds],
+    ids=["criterion1", "criterion2", "gauge_integrate"],
+)
+def test_summed_partition_is_freed_while_the_next_one_builds(monkeypatch, run):
+    # the sum of p_k runs alongside the build of p_{k+1}; once it ends, no
+    # reference may keep p_k alive until that build is done
+    live = []
+    freed = []
+
+    def tracked(build):
+        def wrapped(*args, **kwargs):
+            if live:
+                deadline = time.monotonic() + 5
+                while live[-1]() is not None and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                freed.append(live[-1]() is None)
+            p = build(*args, **kwargs)
+            live.append(weakref.ref(p.tags))
+            return p
+
+        return wrapped
+
+    monkeypatch.setattr(integrator, "cousin_partition", tracked(integrator.cousin_partition))
+    monkeypatch.setattr(integrator, "_random_partition", tracked(integrator._random_partition))
+    assert run() == len(freed) + 1
+    assert all(freed)
+
+
+def _seeded_entry_points():
+    fam, sel = paper_family(), osc.index_selector()
+    return {
+        "gauge_integrate": lambda s: gauge_integrate(
+            lambda x: x, smooth_gauge_family(), UNIT, 1e-2, seed=s
+        ),
+        "criterion1": lambda s: check_criterion1(
+            fam, osc.loop_gauge_family(), sel, alpha1=SIN1, eps=1e-2, trials=2,
+            index_headroom=5, seed=s,
+        ),
+        "criterion2": lambda s: check_criterion2(
+            fam, gauge_for=lambda j: const_gauge(0.1), alpha2=SIN1, eps=1e-2, q=1,
+            j_list=[2, 3], trials=2, seed=s,
+        ),
+        "random_delta_fine_partition": lambda s: random_delta_fine_partition(
+            UNIT, const_gauge(0.1), s
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, seed",
+    [(entry, -1) for entry in _seeded_entry_points()] + [("random_delta_fine_partition", [0, -1])],
+)
+def test_negative_seed_raises_before_any_build(monkeypatch, entry, seed):
+    from gaugequad import partition
+
+    builds = []
+    build = partition._build_fine
+    monkeypatch.setattr(partition, "_build_fine", lambda *a: builds.append(a) or build(*a))
+    call = _seeded_entry_points()[entry]
+    with pytest.raises(ValueError, match=r"seed .*-1"):
+        call(seed)
+    assert builds == []
+    call(0)  # the same call with a valid seed builds
+    assert builds
 
 
 def test_criterion2_is_deterministic():

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from gaugequad import (
 from gaugequad import oscillator as osc
 from gaugequad.integrator import _partitions
 
-from conftest import const_gauge
+from conftest import BLOCK_EDGES, block_sum_reference, const_gauge, partition_of_size
 
 UNIT = Interval(0.0, 1.0)
 HALVES = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
@@ -93,6 +96,20 @@ def test_riemann_sum_linearity_within_ulp_budget():
         assert abs(lhs - rhs) <= 4 * np.finfo(float).eps * max(scale, 1.0)
 
 
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_riemann_sum_follows_the_block_rule_bitwise(n):
+    p = partition_of_size(n)
+    f = lambda x: np.sin(7.0 * x) + x  # noqa: E731
+    assert riemann_sum(f, p) == block_sum_reference(p, f(p.tags))
+
+
+def test_riemann_sum_calls_the_integrand_once_per_block():
+    p = partition_of_size(3 * 2**16 + 7)
+    sizes = []
+    riemann_sum(lambda x: sizes.append(len(x)) or x, p)
+    assert sizes == [2**16, 2**16, 2**16, 7]
+
+
 # ------------------------------------------------------------- sum_defect
 
 def test_sum_defect_midpoint_exact_for_linear():
@@ -149,6 +166,94 @@ def test_partitions_propagates_depth_exceeded(monkeypatch):
     next(parts), next(parts)
     with pytest.raises(DepthExceeded, match="trial 1"):
         next(parts)
+
+
+# ------------------------------------------------- sums overlapping builds
+
+def test_integrand_runs_on_a_worker_and_the_gauge_on_the_caller():
+    seen = {"f": set(), "gauge": set()}
+
+    def track(name, fn):
+        def tracked(x):
+            seen[name].add(threading.get_ident())
+            return fn(x)
+        return tracked
+
+    fam = GaugeFamily(lambda eps: Gauge(track("gauge", lambda x: np.full_like(x, 0.05))))
+    gauge_integrate(track("f", lambda x: x), fam, UNIT, 1e-2)
+    assert seen["gauge"] == {threading.get_ident()}
+    assert seen["f"] and threading.get_ident() not in seen["f"]
+
+
+def test_overlapped_keeps_order_and_one_total_in_flight():
+    from gaugequad.integrator import _overlapped
+
+    lock = threading.Lock()
+    in_flight = []
+    peak = []
+
+    def total(i, p):
+        with lock:
+            in_flight.append(i)
+            peak.append(len(in_flight))
+        time.sleep(0)
+        with lock:
+            in_flight.remove(i)
+        return i, p
+
+    def parts():
+        for k in range(300):
+            time.sleep(0)
+            yield k * k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _overlapped(total, parts())
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [(k, k * k) for k in range(300)]
+    assert max(peak) == 1
+
+
+def test_sum_error_wins_over_the_next_build_error(monkeypatch):
+    from gaugequad import integrator
+
+    building = threading.Event()
+
+    def build_fails(domain, g, seed, max_depth):
+        building.set()
+        raise DepthExceeded("trial 0 too deep")
+
+    def f(x):
+        assert building.wait(10)  # the cousin sum is in flight while trial 0 builds
+        return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+    monkeypatch.setattr(integrator, "_random_partition", build_fails)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteValue):
+        gauge_integrate(f, smooth_gauge_family(), UNIT, 1e-2)
+    assert threading.active_count() == before
+
+
+def test_callers_errstate_reaches_the_integrand():
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):  # the cousin partition tags 0
+            gauge_integrate(
+                lambda x: 1.0 / np.asarray(x, dtype=float), smooth_gauge_family(), UNIT, 1e-2
+            )
+
+
+def test_no_thread_outlives_a_call():
+    before = threading.active_count()
+    gauge_integrate(lambda x: x, smooth_gauge_family(), UNIT, 1e-2)
+    assert threading.active_count() == before
+    with pytest.raises(NonFiniteValue):
+        gauge_integrate(
+            lambda x: np.full_like(np.asarray(x, dtype=float), np.inf),
+            smooth_gauge_family(), UNIT, 1e-2,
+        )
+    assert threading.active_count() == before
 
 
 # --------------------------------------------------------- gauge_integrate
