@@ -4,7 +4,8 @@ Subcommands: integrate (built-in integrand menu), figures (CSV samples of
 the four hallmark curves), loops (root/area table with divergence
 bookkeeping), converge (criterion checkers), demo (headline walkthrough).
 
-Exit codes: 0 success, 1 usage error, 2 non-convergence (including a
+Exit codes: 0 success, 1 usage error (including an --out that cannot be
+written and a loops --n-max over its cap), 2 non-convergence (including a
 gauge too fine for the bisection depth) or failed check.
 CSV output uses 17 significant digits so doubles round-trip; identical
 configurations (including seed) produce byte-identical output.
@@ -13,11 +14,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import oscillator
 from .criteria import check_criterion1, check_criterion2, check_criterion3
@@ -33,8 +37,6 @@ from .partition import DEFAULT_MAX_DEPTH, Interval, cousin_partition
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
-
-SIN1 = math.sin(1.0)
 
 _POLY_NAMES = tuple(f"poly-{k}" for k in range(6))
 
@@ -94,45 +96,57 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_seed(ns) -> int:
-    """--seed, else GAUGEQUAD_SEED, else 0; a negative seed is a usage error."""
-    source, seed = "--seed", ns.seed
-    if seed is None:
-        source, env = "GAUGEQUAD_SEED", os.environ.get("GAUGEQUAD_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise _UsageError(f"GAUGEQUAD_SEED must be an integer, got {env!r}") from exc
-    if seed < 0:
-        raise _UsageError(f"{source} must be >= 0, got {seed}")
-    return seed
-
-
-def _validate_run(ns) -> None:
-    """Checks shared by the integrate, demo and converge options."""
-    name = "eps" if ns.command == "converge" else "tol"
-    accuracy = getattr(ns, name)
-    if not (math.isfinite(accuracy) and accuracy > 0.0):
-        raise _UsageError(f"--{name} must be positive")
-    if ns.trials < 2:
-        raise _UsageError("--trials must be >= 2")
-    if not 8 <= ns.max_depth <= 128:
-        raise _UsageError("--max-depth must be in [8, 128]")
+def _validate(ns) -> None:
+    """Every usage check, in order; resolves ns.seed for the solving commands
+    as --seed, else GAUGEQUAD_SEED, else 0."""
+    if ns.command in ("integrate", "converge", "demo"):
+        name = "eps" if ns.command == "converge" else "tol"
+        accuracy = getattr(ns, name)
+        if not (math.isfinite(accuracy) and accuracy > 0.0):
+            raise _UsageError(f"--{name} must be positive")
+        if ns.trials < 2:
+            raise _UsageError("--trials must be >= 2")
+        if not 8 <= ns.max_depth <= 128:
+            raise _UsageError("--max-depth must be in [8, 128]")
+        source = "--seed"
+        if ns.seed is None:
+            source, env = "GAUGEQUAD_SEED", os.environ.get("GAUGEQUAD_SEED", "0")
+            try:
+                ns.seed = int(env)
+            except ValueError as exc:
+                raise _UsageError(f"GAUGEQUAD_SEED must be an integer, got {env!r}") from exc
+        if ns.seed < 0:
+            raise _UsageError(f"{source} must be >= 0, got {ns.seed}")
+    if ns.command == "integrate":
+        if ns.function == "fj" and ns.j is None:
+            raise _UsageError("integrate fj requires --j")
+        if ns.j is not None and ns.j < 1:
+            raise _UsageError("--j must be >= 1")
+        if ns.j is not None and ns.function != "fj":
+            raise _UsageError("--j applies only to integrate fj")
+    elif ns.command == "figures":
+        if not 0.0 < ns.x_min < ns.x_max <= 1.0:
+            raise _UsageError("need 0 < --x-min < --x-max <= 1")
+        if ns.count < 2:
+            raise _UsageError("--count must be >= 2")
+        if ns.count > 10**6:  # 10**6 rows take about 0.3 GB, 10**7 about 2.7 GB
+            raise _UsageError("--count must be <= 1000000")
+    elif ns.command == "loops":
+        if ns.n_max < 2:
+            raise _UsageError("--n-max must be >= 2")
+        if ns.n_max > 10**6:  # 10**6 rows take 0.7-1.0 GB and 8-14 s, 10**7 about 10 GB
+            raise _UsageError("--n-max must be <= 1000000")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _estimate_payload(name, est, oracle):
-    payload = dict(function=name, **dataclasses.asdict(est))
-    payload["oracle"] = oracle
-    payload["abs_error"] = abs(est.value - oracle)
-    return payload
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _render(payloads: list, fmt: str, csv_keys: Sequence[str]) -> str:
@@ -151,56 +165,42 @@ def _render(payloads: list, fmt: str, csv_keys: Sequence[str]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+def _integrand(ns):
+    """integrate's (integrand, gauge family, closed form) for ns.function."""
+    if ns.function == "fj":
+        return (
+            functools.partial(oscillator.f_j, ns.j),
+            oscillator.truncated_gauge_family(ns.j),
+            oscillator.exact_integral_fj(ns.j),
+        )
+    if ns.function.startswith("poly-"):
+        k = int(ns.function.split("-")[1])
+        return (lambda x: x**k), smooth_gauge_family(), 1.0 / (k + 1)
+    # f, and F-defect, whose closed form is the defect's target 0
+    oracle = oscillator.exact_integral_f() if ns.function == "f" else 0.0
+    return oscillator.f, oscillator.loop_gauge_family(), oracle
+
+
 def cmd_integrate(ns) -> int:
-    _validate_run(ns)
-    seed = _resolve_seed(ns)
+    integrand, family, oracle = _integrand(ns)
     domain = Interval(0.0, 1.0)
-
-    if ns.function == "fj" and ns.j is None:
-        raise _UsageError("integrate fj requires --j")
-    if ns.j is not None and ns.j < 1:
-        raise _UsageError("--j must be >= 1")
-    if ns.j is not None and ns.function != "fj":
-        raise _UsageError("--j applies only to integrate fj")
-
     if ns.function == "F-defect":
         # defect of the primitive increment against one cousin Riemann sum
-        gauge = oscillator.loop_gauge_family().at(ns.tol)
-        p = cousin_partition(domain, gauge, ns.max_depth)
-        defect = sum_defect(oscillator.F, oscillator.f, p)
+        p = cousin_partition(domain, family.at(ns.tol), ns.max_depth)
+        defect = sum_defect(oscillator.F, integrand, p)
         est = IntegralEstimate(defect, 0.0, len(p), 1, defect < ns.tol)
-        oracle = 0.0
     else:
-        if ns.function == "f":
-            integrand = oscillator.f
-            family = oscillator.loop_gauge_family()
-            oracle = oscillator.exact_integral_f()
-        elif ns.function == "fj":
-            integrand = lambda x, _j=ns.j: oscillator.f_j(_j, x)  # noqa: E731
-            family = oscillator.truncated_gauge_family(ns.j)
-            oracle = oscillator.exact_integral_fj(ns.j)
-        else:
-            k = int(ns.function.split("-")[1])
-            integrand = lambda x, _k=k: x**_k  # noqa: E731
-            family = smooth_gauge_family()
-            oracle = 1.0 / (k + 1)
         est = gauge_integrate(
-            integrand, family, domain, ns.tol, trials=ns.trials, seed=seed,
+            integrand, family, domain, ns.tol, trials=ns.trials, seed=ns.seed,
             max_depth=ns.max_depth,
         )
-    payload = _estimate_payload(ns.function, est, oracle)
+    error = abs(est.value - oracle)
+    payload = dict(function=ns.function, **dataclasses.asdict(est), oracle=oracle, abs_error=error)
     _emit(_render([payload], ns.format, list(payload)), ns.out)
-    ok = est.converged and payload["abs_error"] <= ns.tol
-    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+    return EXIT_OK if est.converged and error <= ns.tol else EXIT_NOT_CONVERGED
 
 
 def cmd_figures(ns) -> int:
-    if not 0.0 < ns.x_min < ns.x_max <= 1.0:
-        raise _UsageError("need 0 < --x-min < --x-max <= 1")
-    if ns.count < 2:
-        raise _UsageError("--count must be >= 2")
-    if ns.count > 10**6:  # 10**6 rows take about 0.3 GB, 10**7 about 2.7 GB
-        raise _UsageError("--count must be <= 1000000")
     rows = oscillator.figure_samples(f"fig{ns.which}", ns.x_min, ns.x_max, ns.count)
     text = "x,y\n" + "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in rows)
     _emit(text, ns.out)
@@ -208,34 +208,29 @@ def cmd_figures(ns) -> int:
 
 
 def cmd_loops(ns) -> int:
-    if ns.n_max < 2:
-        raise _UsageError("--n-max must be >= 2")
-    rows = []
-    even = odd = alt = 0.0
-    first_even_over_1 = None
-    for n in range(1, ns.n_max + 1):
-        a = oscillator.loop_area_estimate(n)
-        if n % 2 == 0:
-            even += a
-            if first_even_over_1 is None and even > 1.0:
-                first_even_over_1 = n
-        else:
-            odd += a
-        alt += a if n % 2 == 0 else -a
-        rows.append((n, oscillator.loop_root(n), a, even, odd, alt))
+    n = np.arange(1, ns.n_max + 1)
+    area = oscillator.loop_area_estimate(n)
+    is_even = n % 2 == 0
+    # cumsum adds in order, as a running float total does
+    even = np.cumsum(np.where(is_even, area, 0.0))
+    odd = np.cumsum(np.where(is_even, 0.0, area))
+    alt = np.cumsum(np.where(is_even, area, -area))
+    over = np.flatnonzero(even > 1.0)
+    first_even_over_1 = int(n[over[0]]) if over.size else None
+    rows = list(zip(*(a.tolist() for a in (n, oscillator.loop_root(n), area, even, odd, alt))))
     bracket = oscillator.loop_area_estimate(ns.n_max + 1)
     footer_even = (
         f"first even-partial-sum > 1.0 at n = {first_even_over_1}"
         if first_even_over_1 is not None
-        else f"even partial sum {_fmt(even)} has not exceeded 1.0 by n = {ns.n_max}"
+        else f"even partial sum {_fmt(rows[-1][3])} has not exceeded 1.0 by n = {ns.n_max}"
     )
     footer_bracket = f"alternating bracket width a_(n_max+1) = {_fmt(bracket)}"
 
     header = ("n", "root", "area", "even_partial", "odd_partial", "alternating_partial")
-    records = [dict(zip(header, r)) for r in rows]
+    records = (dict(zip(header, r)) for r in rows)  # only json and csv read them
     if ns.format == "json":
         payload = {
-            "rows": records,
+            "rows": list(records),
             "first_even_partial_over_1": first_even_over_1,
             "alternating_bracket_width": bracket,
         }
@@ -244,85 +239,66 @@ def cmd_loops(ns) -> int:
         text = _render(records, "csv", header) + f"# {footer_even}\n# {footer_bracket}\n"
     else:
         lines = ["  ".join(f"{h:>20}" for h in header)]
-        for n, r, a, e, o, al in rows:
-            lines.append(
-                f"{n:>20d}  " + "  ".join(f"{v:>20.12g}" for v in (r, a, e, o, al))
-            )
-        lines.append(footer_even)
-        lines.append(footer_bracket)
-        text = "\n".join(lines) + "\n"
+        lines += [f"{r[0]:>20d}  " + "  ".join(f"{v:>20.12g}" for v in r[1:]) for r in rows]
+        text = "\n".join([*lines, footer_even, footer_bracket]) + "\n"
     _emit(text, ns.out)
     return EXIT_OK
 
 
 def cmd_converge(ns) -> int:
-    _validate_run(ns)
-    seed = _resolve_seed(ns)
+    sin1 = oscillator.exact_integral_f()
     fam = oscillator.integrand_family()
     payloads = []
-    all_pass = True
-
     if ns.which in ("1", "all"):
         rep = check_criterion1(
             fam,
             oscillator.loop_gauge_family(),
             oscillator.index_selector(),
-            alpha1=SIN1,
+            alpha1=sin1,
             eps=ns.eps,
             trials=ns.trials,
             index_headroom=10,
-            seed=seed,
+            seed=ns.seed,
             max_depth=ns.max_depth,
         )
         payloads.append({"criterion": "criterion1", **dataclasses.asdict(rep)})
-        all_pass &= rep.passed
     if ns.which in ("2", "all"):
         q = math.ceil(1.0 / math.sqrt(ns.eps))
         rep = check_criterion2(
             fam,
             gauge_for=lambda j: oscillator.truncated_gauge_family(j).at(0.5 * ns.eps),
-            alpha2=SIN1,
+            alpha2=sin1,
             eps=ns.eps,
             q=q,
             j_list=[q + 1, 2 * q, 10 * q],
             trials=ns.trials,
-            seed=seed,
+            seed=ns.seed,
             max_depth=ns.max_depth,
         )
         payloads.append({"criterion": "criterion2", **dataclasses.asdict(rep)})
-        all_pass &= rep.passed
     if ns.which in ("3", "all"):
-        agree = check_criterion3(SIN1, SIN1, 1e-9)
+        agree = check_criterion3(sin1, sin1, 1e-9)
         payloads.append(
-            {
-                "criterion": "criterion3",
-                "alpha1": SIN1,
-                "alpha2": SIN1,
-                "tol": 1e-9,
-                "passed": agree,
-            }
+            dict(criterion="criterion3", alpha1=sin1, alpha2=sin1, tol=1e-9, passed=agree)
         )
-        all_pass &= agree
-
     keys = sorted({k for p in payloads for k in p})
     _emit(_render(payloads, ns.format, keys), ns.out)
-    return EXIT_OK if all_pass else EXIT_NOT_CONVERGED
+    return EXIT_OK if all(p["passed"] for p in payloads) else EXIT_NOT_CONVERGED
 
 
 def cmd_demo(ns) -> int:
-    _validate_run(ns)
-    seed = _resolve_seed(ns)
-    domain = Interval(0.0, 1.0)
+    sin1 = oscillator.exact_integral_f()
     est = gauge_integrate(
-        oscillator.f, oscillator.loop_gauge_family(), domain, ns.tol,
-        trials=ns.trials, seed=seed, max_depth=ns.max_depth,
+        oscillator.f, oscillator.loop_gauge_family(), Interval(0.0, 1.0), ns.tol,
+        trials=ns.trials, seed=ns.seed, max_depth=ns.max_depth,
     )
+    error = abs(est.value - sin1)
     lines = [
         "gauge integral of 2x sin(1/x^2) - (2/x) cos(1/x^2) on [0, 1]",
         f"estimate  = {est.value!r} (spread {est.spread:.3g}, "
         f"{est.cells_used} cells, converged={est.converged})",
-        f"sin(1)    = {SIN1!r}",
-        f"abs error = {abs(est.value - SIN1):.3g}",
+        f"sin(1)    = {sin1!r}",
+        f"abs error = {error:.3g}",
         "",
         "first loops (root, signed area magnitude):",
     ]
@@ -334,10 +310,10 @@ def cmd_demo(ns) -> int:
     lines.append("")
     lines.append(
         "limit comparison: alpha1 = alpha2 = sin 1 -> "
-        f"{check_criterion3(SIN1, SIN1, 1e-9)}"
+        f"{check_criterion3(sin1, sin1, 1e-9)}"
     )
     _emit("\n".join(lines) + "\n", ns.out)
-    return EXIT_OK if est.converged and abs(est.value - SIN1) <= ns.tol else EXIT_NOT_CONVERGED
+    return EXIT_OK if est.converged and error <= ns.tol else EXIT_NOT_CONVERGED
 
 
 _COMMANDS = {
@@ -350,9 +326,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
+        _validate(ns)
         return _COMMANDS[ns.command](ns)
     except (_UsageError, GaugeQuadError) as exc:
         print(f"error: {exc}", file=sys.stderr)

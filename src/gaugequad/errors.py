@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GaugeQuadError",
+    "InvalidGauge",
+    "DepthExceeded",
+    "NonFiniteValue",
+    "InvalidTolerance",
+    "WitnessNotFound",
+    "DomainError",
+    "LengthMismatch",
+    "IndexBelowQ",
+]
+
 
 class GaugeQuadError(Exception):
     """Base class for all gaugequad errors."""

@@ -3,10 +3,10 @@
 f(x) = 2x sin(1/x^2) - (2/x) cos(1/x^2) on (0, 1], f(0) = 0, with primitive
 F(x) = x^2 sin(1/x^2).  f is unbounded near 0 but F(1) - F(0) = sin 1, so f
 is gauge integrable while failing both Riemann and absolute integrability.
-f_j truncates f to 0 below 1/j; F_j likewise truncates F.
+f_j truncates f to 0 below 1/j.
 
 The graph of f oscillates in loops between consecutive roots
-sqrt(2/((2n+1)pi)) of its dominant cosine term; `loop_gauge` is the
+sqrt(2/((2n+1)pi)) of its dominant cosine term; `_tent_delta` is the
 structural gauge that confines each partition cell to one loop, and
 `loop_gauge_family` sharpens it with an accuracy-scale term so sampled
 Riemann sums actually meet a requested tolerance.
@@ -26,16 +26,14 @@ import numpy as np
 from .criteria import IndexSelector, IntegrandFamily, _positive_indices
 from .errors import DomainError
 from .integrator import GaugeFamily, _family
-from .partition import Gauge, Interval
+from .partition import Interval
 
 __all__ = [
     "f",
     "f_j",
     "F",
-    "F_j",
     "loop_root",
     "loop_area_estimate",
-    "loop_gauge",
     "loop_gauge_family",
     "truncated_gauge_family",
     "exact_integral_f",
@@ -138,11 +136,6 @@ def F(x):
     return _truncated(_raw_F, x)
 
 
-def F_j(j, x):
-    """Truncated primitive: F(x) for x >= 1/j, else 0."""
-    return _truncated(_raw_F, x, j)
-
-
 def loop_root(n):
     """n-th root of the cosine term: sqrt(2 / ((2n+1) pi)); decreasing in n."""
     narr = np.asarray(n, dtype=float)
@@ -211,18 +204,6 @@ def _tent_delta(x: np.ndarray, eps_scale: float) -> np.ndarray:
     return np.where(x > 0.0, np.minimum(eps_scale, s), eps_scale)
 
 
-def loop_gauge(eps_scale: float) -> Gauge:
-    """The loop-structure gauge capped at eps_scale; at 0 it equals eps_scale.
-
-    Any partition fine for this gauge keeps every positively-tagged cell
-    inside a single loop (up to the ulp-level floor) and must carry exactly
-    one cell tagged at 0, which is how ordered loop-by-loop cancellation of
-    the unbounded oscillation is enforced.  eps_scale must be finite and
-    positive.
-    """
-    return _family(_tent_delta).at(eps_scale)
-
-
 def _uncertified(x: np.ndarray, eps: float):
     """Indices of the points that fail `loop_gauge_family`'s phase certificate."""
     # q in place, with the roundings of 1.0 / (x * x) / math.pi - 0.5;
@@ -244,13 +225,15 @@ def _uncertified(x: np.ndarray, eps: float):
 def loop_gauge_family() -> GaugeFamily:
     """Accuracy-parameterized family of loop gauges for integrating f.
 
-    at(eps) refines loop_gauge(h), h = sqrt(eps/2), with the scale
-    c = 2*eps*x^3, floored at 1e-8 x for float practicality and, at
-    subnormal x where both underflow to 0, at spacing(x) > 0, which lies
+    at(eps) refines the structural tent `_tent_delta(x, h)`, h = sqrt(eps/2),
+    whose fine partitions keep every positively tagged cell inside one
+    loop (up to the ulp floor) and carry exactly one cell tagged at 0, with
+    the scale c = 2*eps*x^3, floored at 1e-8 x for float practicality and,
+    at subnormal x where both underflow to 0, at spacing(x) > 0, which lies
     below every positive value of the rule and so changes only those
     zeros.  The square-root cap at 0 balances the tag-0 cell's own
-    contribution |F(len)| <= len^2 against eps.  No bound shows that the x^3 term meets eps: the
-    first-order straddle estimate (Bartle & Sherbert, Introduction to Real
+    contribution |F(len)| <= len^2 against eps.  No bound shows that the
+    x^3 term meets eps: the first-order straddle estimate (Bartle & Sherbert, Introduction to Real
     Analysis, 7.4), the sum of |f'| len^2 / 2 with |f'| ~ 4/x^4 and
     len = 2 eps x^3, comes to about 4 eps ln(1/h), some 15 eps at
     eps = 1e-3.  Sampled sums meet the tolerance through the cancellation

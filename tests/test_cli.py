@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gaugequad.cli import main
+from gaugequad.oscillator import loop_area_estimate, loop_root
 
 SIN1 = math.sin(1.0)
 
@@ -154,6 +155,17 @@ def test_figures_out_file(tmp_path, capsys):
     assert len(content.strip().split("\n")) == 6
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    # a missing directory and a directory: one error line each, no traceback
+    missing = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, ["integrate", "poly-1", "--tol", "1e-4", "--out", str(missing)])
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write --out {missing}: No such file or directory\n"
+    code, out, err = run(capsys, ["loops", "--n-max", "3", "--out", str(tmp_path)])
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write --out {tmp_path}: Is a directory\n"
+
+
 # ------------------------------------------------------------------ loops
 
 def test_loops_table_values_and_footer(capsys):
@@ -182,6 +194,36 @@ def test_loops_table_values_and_footer(capsys):
 
 def test_loops_rejects_small_n_max(capsys):
     assert run(capsys, ["loops", "--n-max", "1"])[0] == 1
+
+
+def test_loops_rejects_n_max_over_cap(capsys):
+    # 10**7 rows would need about 10 GB: a usage error, not a traceback
+    for n_max in ("1000001", "10000000"):
+        assert run(capsys, ["loops", "--n-max", n_max]) == (
+            1, "", "error: --n-max must be <= 1000000\n"
+        )
+
+
+def test_loops_json_matches_running_totals_bitwise(capsys):
+    # the table's partial sums are running float totals, one row at a time
+    n_max = 100_000
+    rows, even, odd, alt, first = [], 0.0, 0.0, 0.0, None
+    for n in range(1, n_max + 1):
+        a = loop_area_estimate(n)
+        if n % 2 == 0:
+            even += a
+            if first is None and even > 1.0:
+                first = n
+        else:
+            odd += a
+        alt += a if n % 2 == 0 else -a
+        rows.append(dict(n=n, root=loop_root(n), area=a, even_partial=even,
+                         odd_partial=odd, alternating_partial=alt))
+    want = {"rows": rows, "first_even_partial_over_1": first,
+            "alternating_bracket_width": loop_area_estimate(n_max + 1)}
+    code, out, _ = run(capsys, ["loops", "--n-max", str(n_max), "--format", "json"])
+    assert code == 0
+    assert out == json.dumps(want) + "\n"
 
 
 # --------------------------------------------------------------- converge

@@ -15,9 +15,20 @@ from gaugequad import (
 )
 from gaugequad import oscillator as osc
 from gaugequad.criteria import _positive_indices
+from gaugequad.integrator import _family
 from gaugequad.oscillator import loop_root
 
 SIN1 = 0.8414709848078965
+
+
+def loop_gauge(eps_scale):
+    """The structural loop gauge: the tent alone, capped at eps_scale."""
+    return _family(osc._tent_delta).at(eps_scale)
+
+
+def F_j(j, x):
+    """The truncated primitive: F(x) for x >= 1/j, else 0."""
+    return osc._truncated(osc._raw_F, x, j)
 
 
 # The earlier two-branch loop gauge, verbatim apart from its name: one block
@@ -205,7 +216,7 @@ def test_fig3_matches_reference_kernel_bitwise():
 
 
 @pytest.mark.parametrize("j", [math.inf, math.nan, 1.5, 0.7, 0, -2])
-@pytest.mark.parametrize("kernel", [osc.f_j, osc.F_j])
+@pytest.mark.parametrize("kernel", [osc.f_j, F_j])
 def test_truncation_index_must_be_a_finite_positive_integer(kernel, j):
     with pytest.raises(ValueError, match="positive integers"):
         kernel(j, 0.0)
@@ -221,7 +232,6 @@ def test_exact_integral_fj_rejects_bad_index(j):
 
 def test_integral_float_indices_are_accepted():
     assert osc.f_j(5.0, 0.3) == osc.f_j(5, 0.3)
-    assert osc.F_j(5.0, 0.3) == osc.F_j(5, 0.3)
     assert osc.exact_integral_fj(5.0) == osc.exact_integral_fj(5)
     xs = np.array([0.1, 0.3, 0.7])
     got = osc.f_j(np.array([5.0, 2.0, 2.0]), xs)
@@ -232,7 +242,6 @@ def test_index_beyond_int64_is_accepted():
     # numpy holds 10**20 as an object array; it is still a positive integer
     j = 10**20
     assert osc.f_j(j, 0.5) == osc.f(0.5)
-    assert osc.F_j(j, 0.5) == osc.F(0.5)
     assert osc.f_j(j, 0.0) == 0.0
     assert abs(osc.exact_integral_fj(j) - math.sin(1.0)) <= 1e-40
     with pytest.raises(ValueError, match="positive integers"):
@@ -252,7 +261,7 @@ TRUNCATED = [
     pytest.param(osc.f, osc._raw_f, False, id="f"),
     pytest.param(osc.F, osc._raw_F, False, id="F"),
     pytest.param(osc.f_j, osc._raw_f, True, id="f_j"),
-    pytest.param(osc.F_j, osc._raw_F, True, id="F_j"),
+    pytest.param(F_j, osc._raw_F, True, id="F_j"),
 ]
 
 
@@ -297,7 +306,7 @@ def test_dead_points_never_warn():
         warnings.simplefilter("error")
         assert osc.f(0.0) == 0.0
         assert osc.f_j(10, 0.05) == 0.0
-        assert osc.F_j(10**6, np.array([0.0, 1e-170])).tolist() == [0.0, 0.0]
+        assert F_j(10**6, np.array([0.0, 1e-170])).tolist() == [0.0, 0.0]
 
 
 def test_live_points_keep_their_warnings():
@@ -338,8 +347,8 @@ def test_truncated_primitive_jump_at_threshold():
     # left branch is 0, right branch is F: jump of |sin(j^2)|/j^2 at 1/j
     j = 2
     below = math.nextafter(0.5, 0.0)
-    assert osc.F_j(j, below) == 0.0
-    assert osc.F_j(j, 0.5) == osc.F(0.5)
+    assert F_j(j, below) == 0.0
+    assert F_j(j, 0.5) == osc.F(0.5)
     jump = abs(osc.F(0.5))
     assert jump == pytest.approx(abs(math.sin(4.0)) / 4.0, abs=1e-15)
 
@@ -451,7 +460,7 @@ def test_loop_gauge_below_underflow_of_x_squared():
     # x*x is 0 or subnormal here: the floor 8 ulp(x) is the value, and no
     # divide or overflow warning escapes (warnings are errors in this suite)
     xs = np.array([5e-324, 1e-200, 1e-160])
-    got = osc.loop_gauge(1.0).eval_many(xs)
+    got = loop_gauge(1.0).eval_many(xs)
     assert got.tolist() == (8.0 * np.spacing(xs)).tolist()
     assert got == pytest.approx([3.95252517e-323, 1.16033421e-215, 1.26349207e-175])
     with np.errstate(divide="ignore", over="ignore"):
@@ -510,7 +519,7 @@ def test_truncated_gauge_scalar_call_equals_eval_many():
 @pytest.mark.parametrize(
     "g",
     [
-        osc.loop_gauge(0.05),
+        loop_gauge(0.05),
         osc.loop_gauge_family().at(1e-3),
         osc.truncated_gauge_family(64).at(1e-3),
         smooth_gauge_family().at(1e-3),
@@ -533,7 +542,7 @@ GAUGE_CONSTRUCTORS = {
     "smooth.at": lambda v: smooth_gauge_family().at(v),
     "loop_family.at": lambda v: osc.loop_gauge_family().at(v),
     "truncated.at": lambda v: osc.truncated_gauge_family(8).at(v),
-    "loop_gauge": osc.loop_gauge,
+    "loop_gauge": loop_gauge,
     "truncated_j": osc.truncated_gauge_family,
 }
 
@@ -547,11 +556,11 @@ def test_gauge_parameters_checked_at_construction(make, value):
 
 def test_loop_gauge_value_at_zero_is_eps_scale():
     for eps in (0.3, 0.05, 1e-3):
-        assert osc.loop_gauge(eps)(0.0) == eps
+        assert loop_gauge(eps)(0.0) == eps
 
 
 def test_loop_gauge_between_roots_bound():
-    g = osc.loop_gauge(10.0)  # cap out of the way
+    g = loop_gauge(10.0)  # cap out of the way
     rng = np.random.default_rng(5)
     for _ in range(300):
         n = int(rng.integers(1, 400))
@@ -562,7 +571,7 @@ def test_loop_gauge_between_roots_bound():
 
 
 def test_loop_gauge_at_root_bound():
-    g = osc.loop_gauge(10.0)
+    g = loop_gauge(10.0)
     for n in (1, 2, 7, 50):
         r = osc.loop_root(n)
         gap = r - osc.loop_root(n + 1)
@@ -570,13 +579,13 @@ def test_loop_gauge_at_root_bound():
 
 
 def test_loop_gauge_caps_at_eps_scale():
-    g = osc.loop_gauge(1e-3)
+    g = loop_gauge(1e-3)
     xs = np.linspace(0.0, 1.0, 1000)
     assert np.all(g.eval_many(xs) <= 1e-3)
 
 
 def test_cousin_of_loop_gauge_is_fine_and_tag_zero_first():
-    g = osc.loop_gauge(0.05)
+    g = loop_gauge(0.05)
     p = cousin_partition(Interval(0.0, 1.0), g)
     assert is_delta_fine(p, g)
     assert p.tags[0] == 0.0
