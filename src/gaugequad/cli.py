@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -32,7 +33,7 @@ from .integrator import (
     smooth_gauge_family,
     sum_defect,
 )
-from .partition import DEFAULT_MAX_DEPTH, Interval, cousin_partition
+from .partition import Interval, cousin_partition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,7 +65,6 @@ def build_parser() -> _Parser:
         p.add_argument(accuracy_flag, type=float, default=1e-3)
         p.add_argument("--trials", type=int, default=4)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
         if formats:
             p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", type=str, default=None)
@@ -106,8 +106,6 @@ def _validate(ns) -> None:
             raise _UsageError(f"--{name} must be positive")
         if ns.trials < 2:
             raise _UsageError("--trials must be >= 2")
-        if not 8 <= ns.max_depth <= 128:
-            raise _UsageError("--max-depth must be in [8, 128]")
         source = "--seed"
         if ns.seed is None:
             source, env = "GAUGEQUAD_SEED", os.environ.get("GAUGEQUAD_SEED", "0")
@@ -122,6 +120,8 @@ def _validate(ns) -> None:
             raise _UsageError("integrate fj requires --j")
         if ns.j is not None and ns.j < 1:
             raise _UsageError("--j must be >= 1")
+        if ns.j is not None and ns.j > 2**53:  # f_j, its gauge and F_j use float(j)
+            raise _UsageError("--j must be <= 2**53")
         if ns.j is not None and ns.function != "fj":
             raise _UsageError("--j applies only to integrate fj")
     elif ns.command == "figures":
@@ -136,6 +136,16 @@ def _validate(ns) -> None:
             raise _UsageError("--n-max must be >= 2")
         if ns.n_max > 10**6:  # 10**6 rows take 0.7-1.0 GB and 8-14 s, 10**7 about 10 GB
             raise _UsageError("--n-max must be <= 1000000")
+    if ns.out:  # before the solve, creating nothing; _emit still reports a failed write
+        folder = os.path.dirname(ns.out) or "."
+        reason = (
+            errno.EISDIR if os.path.isdir(ns.out)
+            else errno.ENOENT if not os.path.isdir(folder)
+            else errno.EACCES if not os.access(ns.out if os.path.exists(ns.out) else folder, os.W_OK)
+            else None
+        )
+        if reason:
+            raise _UsageError(f"cannot write --out {ns.out}: {os.strerror(reason)}")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -186,14 +196,11 @@ def cmd_integrate(ns) -> int:
     domain = Interval(0.0, 1.0)
     if ns.function == "F-defect":
         # defect of the primitive increment against one cousin Riemann sum
-        p = cousin_partition(domain, family.at(ns.tol), ns.max_depth)
+        p = cousin_partition(domain, family.at(ns.tol))
         defect = sum_defect(oscillator.F, integrand, p)
         est = IntegralEstimate(defect, 0.0, len(p), 1, defect < ns.tol)
     else:
-        est = gauge_integrate(
-            integrand, family, domain, ns.tol, trials=ns.trials, seed=ns.seed,
-            max_depth=ns.max_depth,
-        )
+        est = gauge_integrate(integrand, family, domain, ns.tol, trials=ns.trials, seed=ns.seed)
     error = abs(est.value - oracle)
     payload = dict(function=ns.function, **dataclasses.asdict(est), oracle=oracle, abs_error=error)
     _emit(_render([payload], ns.format, list(payload)), ns.out)
@@ -259,7 +266,6 @@ def cmd_converge(ns) -> int:
             trials=ns.trials,
             index_headroom=10,
             seed=ns.seed,
-            max_depth=ns.max_depth,
         )
         payloads.append({"criterion": "criterion1", **dataclasses.asdict(rep)})
     if ns.which in ("2", "all"):
@@ -273,7 +279,6 @@ def cmd_converge(ns) -> int:
             j_list=[q + 1, 2 * q, 10 * q],
             trials=ns.trials,
             seed=ns.seed,
-            max_depth=ns.max_depth,
         )
         payloads.append({"criterion": "criterion2", **dataclasses.asdict(rep)})
     if ns.which in ("3", "all"):
@@ -290,7 +295,7 @@ def cmd_demo(ns) -> int:
     sin1 = oscillator.exact_integral_f()
     est = gauge_integrate(
         oscillator.f, oscillator.loop_gauge_family(), Interval(0.0, 1.0), ns.tol,
-        trials=ns.trials, seed=ns.seed, max_depth=ns.max_depth,
+        trials=ns.trials, seed=ns.seed,
     )
     error = abs(est.value - sin1)
     lines = [

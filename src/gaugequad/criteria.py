@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IndexBelowQ, LengthMismatch, NonFiniteValue
 from .integrator import _block_sum, _overlapped, _partitions, riemann_sum
-from .partition import DEFAULT_MAX_DEPTH, Gauge, Interval, TaggedPartition, _eval_points
+from .partition import Gauge, Interval, TaggedPartition, _eval_points
 
 __all__ = [
     "IntegrandFamily",
@@ -140,7 +140,6 @@ def check_criterion1(
     trials: int,
     index_headroom: int,
     seed: int,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> CriterionReport:
     """Sample the variable-index inequality |alpha1 - sum| < eps.
 
@@ -165,7 +164,7 @@ def check_criterion1(
         idx = _thresholds(sel, p.tags) + rng.integers(1, index_headroom + 1, size=len(p))
         return abs(alpha1 - variable_index_sum(fam, idx, p))
 
-    parts = _partitions(fam.domain, gf.at(eps), [seed, 1], trials, False, max_depth)
+    parts = _partitions(fam.domain, gf.at(eps), [seed, 1], trials, False)
     return _report(alpha1, eps, eps, _overlapped(deviation, parts))
 
 
@@ -178,7 +177,6 @@ def check_criterion2(
     j_list: Sequence[int],
     trials: int,
     seed: int,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> CriterionReport:
     """Sample the fixed-index inequality |alpha2 - sum| < 2*eps.
 
@@ -206,7 +204,7 @@ def check_criterion2(
     def stream():  # every j's partitions as one stream, so the overlap never drains
         for jn, j in enumerate(j_list):
             fj = partial(fam.member_at, int(j))
-            for p in _partitions(fam.domain, gauge_for(int(j)), [seed, 3, jn], trials, True, max_depth):
+            for p in _partitions(fam.domain, gauge_for(int(j)), [seed, 3, jn], trials, True):
                 yield fj, p
                 del p  # not held while the next partition builds
 

@@ -23,7 +23,6 @@ from .errors import (
     WitnessNotFound,
 )
 from .partition import (
-    DEFAULT_MAX_DEPTH,
     Gauge,
     Interval,
     TaggedPartition,
@@ -189,12 +188,7 @@ def sum_defect(F: RealFunction, f: RealFunction, p: TaggedPartition) -> float:
 
 
 def _partitions(
-    domain: Interval,
-    gauge: Gauge,
-    seed_prefix: list[int],
-    trials: int,
-    cousin: bool,
-    max_depth: int,
+    domain: Interval, gauge: Gauge, seed_prefix: list[int], trials: int, cousin: bool
 ) -> Iterator[TaggedPartition]:
     """The sampled partitions of one gauge, built one at a time.
 
@@ -206,9 +200,9 @@ def _partitions(
     """
     _check_seed(seed_prefix)
     if cousin:
-        yield cousin_partition(domain, gauge, max_depth)
+        yield cousin_partition(domain, gauge)
     for t in range(trials):
-        yield _random_partition(domain, gauge, [*seed_prefix, t], max_depth)
+        yield _random_partition(domain, gauge, [*seed_prefix, t])
 
 
 def _overlapped(total: Callable, parts: Iterator) -> list:
@@ -273,7 +267,6 @@ def gauge_integrate(
     tol: float,
     trials: int = 4,
     seed: int = 0,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> IntegralEstimate:
     """Estimate the gauge integral of f over the domain.
 
@@ -309,7 +302,7 @@ def gauge_integrate(
     eps = tol
     for level in range(_MAX_LEVELS):
         try:
-            parts = _partitions(domain, gf.at(eps), [seed, level], trials, True, max_depth)
+            parts = _partitions(domain, gf.at(eps), [seed, level], trials, True)
             sized = _overlapped(lambda i, p: (len(p), riemann_sum(f, p)), parts)
         except DepthExceeded:
             if last is None:

@@ -29,9 +29,10 @@ __all__ = [
     "random_delta_fine_partition",
 ]
 
-#: Default bisection depth limit.  2**-64 is below the spacing of doubles on
+#: Bisection depth limit.  2**-64 is below the spacing of doubles on
 #: [0, 1], so hitting it means the gauge demands unrepresentable cells.
-DEFAULT_MAX_DEPTH = 64
+#: `_build_fine` reads it at call time.
+_MAX_DEPTH = 64
 
 #: _FIRST[8 * perm + bits] is the first candidate (0 left, 1 mid, 2 right)
 #: in trial order `perm` whose bit is set in the 3-bit fineness code `bits`,
@@ -166,10 +167,7 @@ def is_delta_fine(p: TaggedPartition, g: Gauge) -> bool:
 
 
 def _build_fine(
-    domain: Interval,
-    g: Gauge,
-    max_depth: int,
-    rng: np.random.Generator | None,
+    domain: Interval, g: Gauge, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared bisection engine behind both partition constructors.
 
@@ -234,7 +232,7 @@ def _build_fine(
     acc_t: list[np.ndarray] = []
     acc_u: list[np.ndarray] = []
 
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         U, V, M = B[:n], B[oV:oV + n], B[oM:]
         span = V - U
         if not (span > 0.0).all():
@@ -273,10 +271,10 @@ def _build_fine(
         m = pi.size
         if m == 0:
             break
-        if depth == max_depth:
+        if depth == _MAX_DEPTH:
             raise DepthExceeded(
                 f"{m} cells still unacceptable at depth "
-                f"{max_depth}; gauge is finer than float spacing allows"
+                f"{_MAX_DEPTH}; gauge is finer than float spacing allows"
             )
         # pi is in range, so mode="clip" clips nothing; it spares the
         # buffered copy that take(out=...) makes under the default "raise".
@@ -299,9 +297,7 @@ def _build_fine(
     return tags, points
 
 
-def cousin_partition(
-    domain: Interval, g: Gauge, max_depth: int = DEFAULT_MAX_DEPTH
-) -> TaggedPartition:
+def cousin_partition(domain: Interval, g: Gauge) -> TaggedPartition:
     """Deterministic delta-fine partition by recursive bisection.
 
     Accepts a subinterval as soon as one of the candidate tags
@@ -309,17 +305,14 @@ def cousin_partition(
     one-sided fineness inequalities; otherwise bisects at the midpoint.
     Identical inputs yield identical output.
 
-    Raises DepthExceeded when `max_depth` is reached with cells still
+    Raises DepthExceeded when depth 64 is reached with cells still
     unacceptable.
     """
-    return _fine_partition(domain, g, max_depth, None)
+    return TaggedPartition(*_build_fine(domain, g, None))
 
 
 def random_delta_fine_partition(
-    domain: Interval,
-    g: Gauge,
-    seed: int | Sequence[int],
-    max_depth: int = DEFAULT_MAX_DEPTH,
+    domain: Interval, g: Gauge, seed: int | Sequence[int]
 ) -> TaggedPartition:
     """Seeded randomized delta-fine partition.
 
@@ -330,7 +323,7 @@ def random_delta_fine_partition(
     before the build starts.
     """
     _check_seed(seed)
-    return _fine_partition(domain, g, max_depth, np.random.default_rng(seed))
+    return TaggedPartition(*_build_fine(domain, g, np.random.default_rng(seed)))
 
 
 def _check_seed(seed) -> None:
@@ -342,12 +335,3 @@ def _check_seed(seed) -> None:
     entries = np.ravel(np.array(seed, dtype=object))
     if any(isinstance(s, numbers.Integral) and s < 0 for s in entries):
         raise ValueError(f"seed entries must be non-negative integers, got {seed!r}")
-
-
-def _fine_partition(
-    domain: Interval, g: Gauge, max_depth: int, rng: np.random.Generator | None
-) -> TaggedPartition:
-    """Body of both constructors; rng=None selects the deterministic rule."""
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    return TaggedPartition(*_build_fine(domain, g, max_depth, rng))

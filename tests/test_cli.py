@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gaugequad import cli, partition
 from gaugequad.cli import main
 from gaugequad.oscillator import loop_area_estimate, loop_root
 
@@ -74,8 +75,6 @@ def test_integrate_fj_requires_j(capsys):
 def test_integrate_rejects_bad_config(capsys):
     assert run(capsys, ["integrate", "f", "--tol", "-1"])[0] == 1
     assert run(capsys, ["integrate", "f", "--trials", "1"])[0] == 1
-    assert run(capsys, ["integrate", "f", "--max-depth", "4"])[0] == 1
-    assert run(capsys, ["integrate", "f", "--max-depth", "200"])[0] == 1
     for function in ("poly-2", "f", "F-defect"):
         assert run(capsys, ["integrate", function, "--tol", "1e-4", "--j", "7"]) == (
             1, "", "error: --j applies only to integrate fj\n"
@@ -91,8 +90,18 @@ def test_integrate_rejects_bad_config(capsys):
             )
 
 
-def test_depth_exceeded_exits_not_converged(capsys):
-    assert run(capsys, ["integrate", "poly-3", "--tol", "1e-9", "--max-depth", "8"]) == (
+def test_integrate_rejects_j_beyond_exact_floats(capsys, monkeypatch):
+    # past 2**53, float(j) is not j, and f_j, its gauge and F_j all use float(j)
+    monkeypatch.setattr(cli, "gauge_integrate", None)  # the solve never starts
+    for j in (2**53 + 1, 10**200, 10**400):
+        assert run(capsys, ["integrate", "fj", "--j", str(j)]) == (
+            1, "", "error: --j must be <= 2**53\n"
+        )
+
+
+def test_depth_exceeded_exits_not_converged(capsys, monkeypatch):
+    monkeypatch.setattr(partition, "_MAX_DEPTH", 8)
+    assert run(capsys, ["integrate", "poly-3", "--tol", "1e-9"]) == (
         2, "", "error: 256 cells still unacceptable at depth 8; "
         "gauge is finer than float spacing allows\n",
     )
@@ -164,6 +173,29 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, ["loops", "--n-max", "3", "--out", str(tmp_path)])
     assert (code, out) == (1, "")
     assert err == f"error: cannot write --out {tmp_path}: Is a directory\n"
+
+
+def test_unwritable_out_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "gauge_integrate", lambda *a, **k: solves.append(a))
+    monkeypatch.setattr(cli, "check_criterion1", lambda *a, **k: solves.append(a))
+    read_only = tmp_path / "read-only.txt"
+    read_only.write_text("kept")
+    real_access = os.access
+    # os.access grants root every file, so the denial is simulated for one path
+    monkeypatch.setattr(os, "access", lambda p, m: p != str(read_only) and real_access(p, m))
+    cases = [
+        (["integrate", "f"], tmp_path / "missing" / "x.txt", "No such file or directory"),
+        (["converge", "1"], tmp_path, "Is a directory"),
+        (["demo"], read_only, "Permission denied"),
+    ]
+    for argv, target, reason in cases:
+        assert run(capsys, argv + ["--out", str(target)]) == (
+            1, "", f"error: cannot write --out {target}: {reason}\n"
+        )
+    assert solves == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["read-only.txt"]
+    assert read_only.read_text() == "kept"
 
 
 # ------------------------------------------------------------------ loops

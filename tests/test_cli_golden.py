@@ -54,7 +54,8 @@ _USAGE_ERRORS = [
     ["integrate", "fj", "--tol", "1e-4"],
     ["integrate", "fj", "--j", "0"],
     ["integrate", "F-defect", "--j", "0"],
-    ["integrate", "poly-3", "--tol", "1e-9", "--max-depth", "8"],  # DepthExceeded: exit 2
+    ["integrate", "fj", "--j", "9007199254740993"],  # 2**53 + 1
+    ["integrate", "poly-3", "--tol", "1e-9", "--max-depth", "8"],  # a removed flag
     ["GAUGEQUAD_SEED=not-a-number", "integrate", "poly-1", "--tol", "1e-4"],
     ["figures"],
     ["figures", "5"],
@@ -84,8 +85,7 @@ CONFIGS = (
     + [
         ["integrate", "f", "--tol", "1e-2", "--seed", "3", "--trials", "2"],
         ["GAUGEQUAD_SEED=5", "integrate", "poly-2", "--tol", "1e-4"],
-        ["converge", "1", "--eps", "1e-2", "--seed", "5", "--trials", "3",
-         "--max-depth", "40"],
+        ["converge", "1", "--eps", "1e-2", "--seed", "5", "--trials", "3"],
         ["demo", "--tol", "1e-2"],
     ]
     + [["figures", w, "--count", "7"] for w in ("1", "2", "3", "4")]

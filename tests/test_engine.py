@@ -25,6 +25,7 @@ from gaugequad import (
     random_delta_fine_partition,
 )
 from gaugequad import oscillator as osc
+from gaugequad import partition
 from gaugequad.partition import _build_fine
 
 from conftest import const_gauge
@@ -149,8 +150,8 @@ def rng(seed):
 
 def assert_matches_reference(domain, g, seed):
     """Byte-equal to the reference, so also -0.0 kept; tags never decrease."""
-    tags, points = _build_fine(domain, g, 64, rng(seed))
-    old = reference_build_fine(domain, g, 64, rng(seed))
+    tags, points = _build_fine(domain, g, rng(seed))
+    old = reference_build_fine(domain, g, partition._MAX_DEPTH, rng(seed))
     for got, want in zip((tags, points[:-1], points[1:]), old):
         assert got.tobytes() == want.tobytes()
     assert math.copysign(1.0, points[0]) == math.copysign(1.0, domain.a)
@@ -275,12 +276,13 @@ def test_invalid_gauge_raises_during_build(seed):
         build(UNIT, Gauge(lambda x: x - 0.5), seed)
 
 
-def depth_messages(domain, g, max_depth, seed):
-    """The DepthExceeded messages of the engine and of the reference."""
+def depth_messages(domain, g, seed):
+    """The DepthExceeded messages of the engine and of the reference, which
+    is given the engine's depth limit."""
     with pytest.raises(DepthExceeded) as got:
-        _build_fine(domain, g, max_depth, rng(seed))
+        _build_fine(domain, g, rng(seed))
     with pytest.raises(DepthExceeded) as want:
-        reference_build_fine(domain, g, max_depth, rng(seed))
+        reference_build_fine(domain, g, partition._MAX_DEPTH, rng(seed))
     return str(got.value), str(want.value)
 
 
@@ -290,13 +292,14 @@ def test_depth_exceeded_at_adjacent_floats(seed):
     dom = Interval(1.0, 1.0 + 2 * math.ulp(1.0))
     with pytest.raises(DepthExceeded, match="adjacent floats"):
         build(dom, const_gauge(1e-300), seed)
-    got, want = depth_messages(dom, const_gauge(1e-300), 64, seed)
+    got, want = depth_messages(dom, const_gauge(1e-300), seed)
     assert got == want
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_depth_exceeded_at_max_depth(seed):
-    got, want = depth_messages(UNIT, const_gauge(1e-5), 8, seed)
+def test_depth_exceeded_at_max_depth(seed, monkeypatch):
+    monkeypatch.setattr(partition, "_MAX_DEPTH", 8)
+    got, want = depth_messages(UNIT, const_gauge(1e-5), seed)
     assert got == want
     assert got.endswith(
         " cells still unacceptable at depth 8; gauge is finer than float spacing allows"

@@ -133,9 +133,9 @@ def _same_bytes(p, q):
 def test_partitions_match_direct_builds_cousin_first():
     from gaugequad import cousin_partition, random_delta_fine_partition
 
-    got = list(_partitions(UNIT, DRIVER_GAUGE, [7, 3], 3, True, 40))
-    want = [cousin_partition(UNIT, DRIVER_GAUGE, 40)] + [
-        random_delta_fine_partition(UNIT, DRIVER_GAUGE, [7, 3, t], 40) for t in range(3)
+    got = list(_partitions(UNIT, DRIVER_GAUGE, [7, 3], 3, True))
+    want = [cousin_partition(UNIT, DRIVER_GAUGE)] + [
+        random_delta_fine_partition(UNIT, DRIVER_GAUGE, [7, 3, t]) for t in range(3)
     ]
     assert len(got) == len(want) == 4
     assert all(_same_bytes(p, q) for p, q in zip(got, want))
@@ -144,10 +144,10 @@ def test_partitions_match_direct_builds_cousin_first():
 def test_partitions_without_cousin_yields_only_the_trials():
     from gaugequad import random_delta_fine_partition
 
-    got = list(_partitions(UNIT, DRIVER_GAUGE, [5], 4, False, 40))
+    got = list(_partitions(UNIT, DRIVER_GAUGE, [5], 4, False))
     assert len(got) == 4
     for t, p in enumerate(got):
-        assert _same_bytes(p, random_delta_fine_partition(UNIT, DRIVER_GAUGE, [5, t], 40))
+        assert _same_bytes(p, random_delta_fine_partition(UNIT, DRIVER_GAUGE, [5, t]))
 
 
 def test_partitions_propagates_depth_exceeded(monkeypatch):
@@ -155,14 +155,14 @@ def test_partitions_propagates_depth_exceeded(monkeypatch):
 
     build = integrator._random_partition
 
-    def build_then_fail(domain, g, seed, max_depth):
+    def build_then_fail(domain, g, seed):
         if seed[-1] == 1:
             raise DepthExceeded("trial 1 too deep")
-        return build(domain, g, seed, max_depth)
+        return build(domain, g, seed)
 
     # the driver looks its builders up at call time, so this rebinding reaches it
     monkeypatch.setattr(integrator, "_random_partition", build_then_fail)
-    parts = _partitions(UNIT, DRIVER_GAUGE, [0], 3, True, 40)
+    parts = _partitions(UNIT, DRIVER_GAUGE, [0], 3, True)
     next(parts), next(parts)
     with pytest.raises(DepthExceeded, match="trial 1"):
         next(parts)
@@ -221,7 +221,7 @@ def test_sum_error_wins_over_the_next_build_error(monkeypatch):
 
     building = threading.Event()
 
-    def build_fails(domain, g, seed, max_depth):
+    def build_fails(domain, g, seed):
         building.set()
         raise DepthExceeded("trial 0 too deep")
 
@@ -320,9 +320,10 @@ def test_gauge_integrate_validates_arguments():
         gauge_integrate(f, smooth_gauge_family(), Interval(0.0, 1.0), tol=1e-3, trials=1)
 
 
-def test_gauge_integrate_depth_exceeded_first_level_raises():
-    from gaugequad import DepthExceeded
+def test_gauge_integrate_depth_exceeded_first_level_raises(monkeypatch):
+    from gaugequad import DepthExceeded, partition
 
+    monkeypatch.setattr(partition, "_MAX_DEPTH", 16)
     family = GaugeFamily(lambda eps: const_gauge(1e-30))
     with pytest.raises(DepthExceeded):
         gauge_integrate(
@@ -331,13 +332,16 @@ def test_gauge_integrate_depth_exceeded_first_level_raises():
             Interval(0.0, 1.0),
             tol=1e-3,
             trials=2,
-            max_depth=16,
         )
 
 
-def test_gauge_integrate_unconverged_returns_last_estimate():
+def test_gauge_integrate_unconverged_returns_last_estimate(monkeypatch):
     # coarse gauge keeps sampled sums wider than tol for a few levels, then
     # the family collapses below float representability
+    from gaugequad import partition
+
+    monkeypatch.setattr(partition, "_MAX_DEPTH", 12)
+
     def at(eps):
         if eps < 1e-13:
             return const_gauge(1e-300)
@@ -345,7 +349,7 @@ def test_gauge_integrate_unconverged_returns_last_estimate():
 
     rng_f = lambda x: np.cos(37.0 * np.asarray(x, dtype=float))  # noqa: E731
     est = gauge_integrate(
-        rng_f, GaugeFamily(at), Interval(0.0, 1.0), tol=1e-12, trials=2, max_depth=24
+        rng_f, GaugeFamily(at), Interval(0.0, 1.0), tol=1e-12, trials=2
     )
     assert not est.converged
     assert est.cells_used >= 1

@@ -15,6 +15,7 @@ from gaugequad import (
     is_delta_fine,
     random_delta_fine_partition,
 )
+from gaugequad import partition
 
 from conftest import const_gauge
 
@@ -121,14 +122,10 @@ def test_cousin_is_deterministic():
     assert np.array_equal(p1.rights, p2.rights)
 
 
-def test_cousin_depth_exceeded_for_unrepresentable_gauge():
-    with pytest.raises(DepthExceeded):
-        cousin_partition(Interval(0.0, 1.0), const_gauge(1e-30), max_depth=16)
-
-
-def test_cousin_rejects_bad_max_depth():
-    with pytest.raises(ValueError):
-        cousin_partition(Interval(0.0, 1.0), const_gauge(0.5), max_depth=0)
+def test_cousin_depth_exceeded_for_unrepresentable_gauge(monkeypatch):
+    monkeypatch.setattr(partition, "_MAX_DEPTH", 16)
+    with pytest.raises(DepthExceeded, match="at depth 16;"):
+        cousin_partition(Interval(0.0, 1.0), const_gauge(1e-30))
 
 
 def test_cousin_arbitrary_domain():
