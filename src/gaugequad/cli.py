@@ -64,7 +64,7 @@ def build_parser() -> _Parser:
     def common(p, accuracy_flag="--tol", formats=True):
         p.add_argument(accuracy_flag, type=float, default=1e-3)
         p.add_argument("--trials", type=int, default=4)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
         if formats:
             p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", type=str, default=None)
@@ -97,8 +97,7 @@ def build_parser() -> _Parser:
 
 
 def _validate(ns) -> None:
-    """Every usage check, in order; resolves ns.seed for the solving commands
-    as --seed, else GAUGEQUAD_SEED, else 0."""
+    """Every usage check, in order."""
     if ns.command in ("integrate", "converge", "demo"):
         name = "eps" if ns.command == "converge" else "tol"
         accuracy = getattr(ns, name)
@@ -106,15 +105,8 @@ def _validate(ns) -> None:
             raise _UsageError(f"--{name} must be positive")
         if ns.trials < 2:
             raise _UsageError("--trials must be >= 2")
-        source = "--seed"
-        if ns.seed is None:
-            source, env = "GAUGEQUAD_SEED", os.environ.get("GAUGEQUAD_SEED", "0")
-            try:
-                ns.seed = int(env)
-            except ValueError as exc:
-                raise _UsageError(f"GAUGEQUAD_SEED must be an integer, got {env!r}") from exc
         if ns.seed < 0:
-            raise _UsageError(f"{source} must be >= 0, got {ns.seed}")
+            raise _UsageError(f"--seed must be >= 0, got {ns.seed}")
     if ns.command == "integrate":
         if ns.function == "fj" and ns.j is None:
             raise _UsageError("integrate fj requires --j")
@@ -264,7 +256,6 @@ def cmd_converge(ns) -> int:
             alpha1=sin1,
             eps=ns.eps,
             trials=ns.trials,
-            index_headroom=10,
             seed=ns.seed,
         )
         payloads.append({"criterion": "criterion1", **dataclasses.asdict(rep)})

@@ -30,6 +30,10 @@ __all__ = [
     "check_criterion3",
 ]
 
+#: Criterion 1 draws each index from the _INDEX_HEADROOM integers above its
+#: tag's threshold.
+_INDEX_HEADROOM = 10
+
 
 @dataclass(frozen=True)
 class IntegrandFamily:
@@ -138,14 +142,13 @@ def check_criterion1(
     alpha1: float,
     eps: float,
     trials: int,
-    index_headroom: int,
     seed: int,
 ) -> CriterionReport:
     """Sample the variable-index inequality |alpha1 - sum| < eps.
 
     Draws `trials` random fine partitions for gf.at(eps), and for each one
     admissible index vector with indices uniform in
-    (threshold(tag), threshold(tag) + index_headroom].  A clean report is
+    (threshold(tag), threshold(tag) + _INDEX_HEADROOM].  A clean report is
     evidence for the criterion whose conclusion is that the limit function
     integrates to alpha1.
 
@@ -153,15 +156,15 @@ def check_criterion1(
     thread while the caller's thread builds the next partition, so the
     family and selector run on the worker and the gauge on the caller's
     thread: they must not share unsynchronised mutable state.  Sums follow
-    riemann_sum's block rule.  A negative seed raises ValueError before any
-    build.
+    riemann_sum's block rule.  A seed that is not a non-negative integer
+    raises ValueError before any build.
     """
-    if not (math.isfinite(eps) and eps > 0.0) or trials < 1 or index_headroom < 1:
-        raise ValueError("finite eps > 0, trials >= 1, index_headroom >= 1 required")
+    if not (math.isfinite(eps) and eps > 0.0) or trials < 1:
+        raise ValueError("finite eps > 0 and trials >= 1 required")
 
     def deviation(i: int, p: TaggedPartition) -> float:
         rng = np.random.default_rng([seed, 2, i])
-        idx = _thresholds(sel, p.tags) + rng.integers(1, index_headroom + 1, size=len(p))
+        idx = _thresholds(sel, p.tags) + rng.integers(1, _INDEX_HEADROOM + 1, size=len(p))
         return abs(alpha1 - variable_index_sum(fam, idx, p))
 
     parts = _partitions(fam.domain, gf.at(eps), [seed, 1], trials, False)
@@ -187,9 +190,9 @@ def check_criterion2(
     summed on a worker thread while the caller's thread builds the next
     one, across j values too, so f_j runs on the worker and gauge_for and
     its gauges on the caller's thread: they must not share unsynchronised
-    mutable state.  Sums follow riemann_sum's block rule.  A negative seed
-    raises ValueError before any build.  The acceptance band is 2*eps, the
-    bound the triangle inequality yields.
+    mutable state.  Sums follow riemann_sum's block rule.  A seed that is
+    not a non-negative integer raises ValueError before any build.  The
+    acceptance band is 2*eps, the bound the triangle inequality yields.
     """
     # chained comparisons, not math.isfinite, so that a Python int q
     # beyond the float range still counts as finite

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -194,9 +194,9 @@ def _partitions(
 
     Yields the cousin partition first when `cousin` is true, then `trials`
     seeded partitions, trial t drawn from the seed [*seed_prefix, t].  A
-    negative seed entry raises ValueError before the first build.  Both
-    builders are looked up as this module's globals at every call, so a
-    rebinding of either name reaches every build.
+    seed entry that is not a non-negative integer raises ValueError before
+    the first build.  Both builders are looked up as this module's globals
+    at every call, so a rebinding of either name reaches every build.
     """
     _check_seed(seed_prefix)
     if cousin:
@@ -209,54 +209,31 @@ def _overlapped(total: Callable, parts: Iterator) -> list:
     """[total(i, p) for i, p in enumerate(parts)], each total overlapping
     the build of the next partition.
 
-    total(i, p_k) runs on a worker thread while this thread builds
-    p_{k+1}, and is joined before total(i + 1, p_{k+1}) starts, so at most
-    one total is in flight and no thread outlives the call.  This frame
-    drops p_k before it asks for p_{k+1}, so a partition is freed as soon
-    as it is summed.  The worker runs in a copy of the caller's context, so
-    the caller's np.errstate reaches the integrand.  Errors surface in
-    sequence order: if total k fails and building p_{k+1} fails too, total
-    k's error is raised, as if p_{k+1} had never been built.
+    total(i, p_k) runs on a one-worker executor while this thread builds
+    p_{k+1}, and is awaited before total(i + 1, p_{k+1}) is submitted, so
+    at most one total is in flight, on the same worker thread, and no thread
+    outlives the call.  This frame drops p_k before it asks for p_{k+1}, so
+    a partition is freed as soon as it is summed.  Each total runs in a copy
+    of the caller's context, so the caller's np.errstate reaches the
+    integrand.  Errors surface in sequence order: if total k fails and
+    building p_{k+1} fails too, total k's error is raised, as if p_{k+1}
+    had never been built.
     """
     results: list = []
-    jobs: list = []  # the total in flight, as at most one (thread, outcome)
-
-    def start(i, p):
-        outcome: list = []
-        run = contextvars.copy_context().run
-
-        def work():
-            try:
-                outcome.append((True, run(total, i, p)))
-            except BaseException as exc:
-                outcome.append((False, exc))
-
-        thread = threading.Thread(target=work, name="gaugequad-sum")
-        thread.start()
-        jobs.append((thread, outcome))
-
-    def finish():
-        thread, outcome = jobs[0]
-        thread.join()
-        del jobs[0]
-        ((ok, value),) = outcome
-        if not ok:
-            raise value
-        results.append(value)
-
-    i = 0  # counted here: enumerate's reused tuple would keep p_k alive
-    try:
-        for p in parts:
-            if jobs:
-                finish()
-            start(i, p)
-            del p
-            i += 1
-    finally:
-        # the last total, after the last build or a failed one; its own
-        # error replaces a build error
-        while jobs:
-            finish()
+    pending: list = []  # the future of the total in flight, if any
+    with ThreadPoolExecutor(1, thread_name_prefix="gaugequad-sum") as pool:
+        try:
+            for p in parts:
+                if pending:
+                    results.append(pending.pop().result())
+                # i is len(results): enumerate's reused tuple would keep p_k alive
+                pending.append(pool.submit(contextvars.copy_context().run, total, len(results), p))
+                del p
+        finally:
+            # the last total, after the last build or a failed one; its own
+            # error replaces a build error
+            if pending:
+                results.append(pending.pop().result())
     return results
 
 
@@ -280,7 +257,8 @@ def gauge_integrate(
 
     Deterministic given (seed, tol, trials): per-trial generators are
     derived from (seed, level, trial index), so trials are order
-    independent.  A negative seed raises ValueError before any build.
+    independent.  A seed that is not a non-negative integer raises
+    ValueError before any build.
 
     Each sum runs on a worker thread while the caller's thread builds the
     next partition, so f runs on the worker and the gauge on the caller's

@@ -71,9 +71,10 @@ class Interval:
 def _eval_points(fn: Callable, xs: np.ndarray, dtype=float) -> np.ndarray:
     """fn on every point of xs: one array call, else one call per point.
 
-    A result of another shape is broadcast and copied (a dot product over
-    a stride-0 view rounds differently); a callable that rejects arrays
-    with TypeError or ValueError is called once per point.
+    A result of another shape is broadcast and copied, so the caller gets
+    a writable array of xs's shape, not a read-only stride-0 view; a
+    callable that rejects arrays with TypeError or ValueError is called
+    once per point.
     """
     try:
         out = np.asarray(fn(xs), dtype=dtype)
@@ -319,19 +320,20 @@ def random_delta_fine_partition(
     Randomness enters through bisection points (uniform in the middle half
     of each cell) and through the per-cell candidate-tag order.  The result
     is deterministic for a fixed seed, which may be an int or a sequence of
-    ints such as (seed, level, trial).  A negative entry raises ValueError
-    before the build starts.
+    ints such as (seed, level, trial).  An entry that is not a non-negative
+    integer raises ValueError before the build starts.
     """
     _check_seed(seed)
     return TaggedPartition(*_build_fine(domain, g, np.random.default_rng(seed)))
 
 
 def _check_seed(seed) -> None:
-    """ValueError naming `seed` if any of its integer entries is negative.
+    """ValueError naming `seed` unless every entry is a non-negative integer.
 
-    numpy rejects one too, but with an untyped message and only once its
-    generator is made, which a sampling loop reaches after other builds.
+    numpy rejects a negative or non-integer entry too, but with an untyped
+    error and only once its generator is made, which a sampling loop
+    reaches after other builds.
     """
     entries = np.ravel(np.array(seed, dtype=object))
-    if any(isinstance(s, numbers.Integral) and s < 0 for s in entries):
+    if not all(isinstance(s, numbers.Integral) and s >= 0 for s in entries):
         raise ValueError(f"seed entries must be non-negative integers, got {seed!r}")

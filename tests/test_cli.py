@@ -331,32 +331,9 @@ def test_identical_config_gives_byte_identical_output(capsys):
     assert out1 == out2
 
 
-def test_env_seed_is_used_as_default(capsys, monkeypatch):
-    argv = ["integrate", "poly-1", "--tol", "1e-5", "--trials", "2",
-            "--format", "json"]
-    monkeypatch.setenv("GAUGEQUAD_SEED", "123")
-    _, out_env, _ = run(capsys, argv)
-    monkeypatch.delenv("GAUGEQUAD_SEED")
-    _, out_default, _ = run(capsys, argv)
-    _, out_explicit, _ = run(capsys, argv + ["--seed", "123"])
-    assert out_env == out_explicit
-    assert json.loads(out_env)["converged"] and json.loads(out_default)["converged"]
-
-
-def test_env_seed_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("GAUGEQUAD_SEED", "not-a-number")
-    code, _, err = run(capsys, ["integrate", "poly-1", "--tol", "1e-4"])
-    assert code == 1
-    assert "GAUGEQUAD_SEED" in err
-
-
-def test_negative_seed_is_usage_error(capsys, monkeypatch):
+def test_negative_seed_is_usage_error(capsys):
     assert run(capsys, ["integrate", "poly-2", "--seed", "-1"]) == (
         1, "", "error: --seed must be >= 0, got -1\n"
-    )
-    monkeypatch.setenv("GAUGEQUAD_SEED", "-1")
-    assert run(capsys, ["integrate", "poly-1"]) == (
-        1, "", "error: GAUGEQUAD_SEED must be >= 0, got -1\n"
     )
 
 
@@ -398,7 +375,6 @@ def test_printed_sums_do_not_depend_on_blas_threads():
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=src)
-        env.pop("GAUGEQUAD_SEED", None)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import weakref
 
@@ -23,7 +24,7 @@ from gaugequad import (
     smooth_gauge_family,
     variable_index_sum,
 )
-from gaugequad import integrator
+from gaugequad import criteria, integrator
 from gaugequad import oscillator as osc
 
 from conftest import BLOCK_EDGES, block_sum_reference, const_gauge, partition_of_size
@@ -120,7 +121,6 @@ def test_criterion1_passes_on_the_paper_family():
         alpha1=SIN1,
         eps=1e-2,
         trials=12,
-        index_headroom=10,
         seed=0,
     )
     assert rep.passed
@@ -138,7 +138,6 @@ def test_criterion1_detects_shifted_center():
         alpha1=SIN1 + 10.0 * eps,
         eps=eps,
         trials=3,
-        index_headroom=5,
         seed=1,
     )
     assert not rep.passed
@@ -146,7 +145,7 @@ def test_criterion1_detects_shifted_center():
     assert rep.worst_deviation >= 9.0 * eps
 
 
-def test_criterion1_dominated_family():
+def test_criterion1_dominated_family(monkeypatch):
     # f_j(x) = x + x/j converges to x dominated by 2x; with thresholds
     # ceil(1/eps) the index term contributes at most 1/j <= eps/2 in sum
     eps = 1e-3
@@ -157,6 +156,7 @@ def test_criterion1_dominated_family():
     sel = IndexSelector(lambda x: np.full_like(np.asarray(x, float), math.ceil(1 / eps)).astype(np.int64))
     # a constant gauge of 0.25 eps^(2/3)
     gf = GaugeFamily(lambda e: const_gauge(0.25 * e ** (2.0 / 3.0)))
+    monkeypatch.setattr(criteria, "_INDEX_HEADROOM", 100)
     rep = check_criterion1(
         fam,
         gf,
@@ -164,16 +164,13 @@ def test_criterion1_dominated_family():
         alpha1=0.5,
         eps=eps,
         trials=4,
-        index_headroom=100,
         seed=5,
     )
     assert rep.passed, rep
 
 
 def test_criterion1_is_deterministic():
-    kwargs = dict(
-        alpha1=SIN1, eps=1e-2, trials=3, index_headroom=7, seed=21
-    )
+    kwargs = dict(alpha1=SIN1, eps=1e-2, trials=3, seed=21)
     r1 = check_criterion1(
         paper_family(), osc.loop_gauge_family(), osc.index_selector(), **kwargs
     )
@@ -181,6 +178,23 @@ def test_criterion1_is_deterministic():
         paper_family(), osc.loop_gauge_family(), osc.index_selector(), **kwargs
     )
     assert r1 == r2
+
+
+@pytest.mark.parametrize("headroom", [1, 3])
+def test_criterion1_draws_each_index_within_the_headroom(monkeypatch, headroom):
+    sel = osc.index_selector()
+    above = []
+
+    def recording(fam, idx, p):
+        above.append(idx - criteria._thresholds(sel, p.tags))
+        return variable_index_sum(fam, idx, p)
+
+    monkeypatch.setattr(criteria, "variable_index_sum", recording)
+    monkeypatch.setattr(criteria, "_INDEX_HEADROOM", headroom)
+    check_criterion1(
+        paper_family(), osc.loop_gauge_family(), sel, alpha1=SIN1, eps=1e-2, trials=2, seed=0
+    )
+    assert set(np.concatenate(above).tolist()) == set(range(1, headroom + 1))
 
 
 # ------------------------------------------------------- check_criterion2
@@ -357,7 +371,6 @@ def _criterion1_builds():
         alpha1=SIN1,
         eps=1e-2,
         trials=3,
-        index_headroom=10,
         seed=0,
     )
     return rep.trials
@@ -456,8 +469,7 @@ def _seeded_entry_points():
             lambda x: x, smooth_gauge_family(), UNIT, 1e-2, seed=s
         ),
         "criterion1": lambda s: check_criterion1(
-            fam, osc.loop_gauge_family(), sel, alpha1=SIN1, eps=1e-2, trials=2,
-            index_headroom=5, seed=s,
+            fam, osc.loop_gauge_family(), sel, alpha1=SIN1, eps=1e-2, trials=2, seed=s,
         ),
         "criterion2": lambda s: check_criterion2(
             fam, gauge_for=lambda j: const_gauge(0.1), alpha2=SIN1, eps=1e-2, q=1,
@@ -471,7 +483,9 @@ def _seeded_entry_points():
 
 @pytest.mark.parametrize(
     "entry, seed",
-    [(entry, -1) for entry in _seeded_entry_points()] + [("random_delta_fine_partition", [0, -1])],
+    [(entry, -1) for entry in _seeded_entry_points()]
+    + [("random_delta_fine_partition", [0, -1])]
+    + [(entry, s) for s in (1.5, None, [0, 2.5]) for entry in _seeded_entry_points()],
 )
 def test_negative_seed_raises_before_any_build(monkeypatch, entry, seed):
     from gaugequad import partition
@@ -480,7 +494,7 @@ def test_negative_seed_raises_before_any_build(monkeypatch, entry, seed):
     build = partition._build_fine
     monkeypatch.setattr(partition, "_build_fine", lambda *a: builds.append(a) or build(*a))
     call = _seeded_entry_points()[entry]
-    with pytest.raises(ValueError, match=r"seed .*-1"):
+    with pytest.raises(ValueError, match=r"seed .*" + re.escape(repr(seed))):
         call(seed)
     assert builds == []
     call(0)  # the same call with a valid seed builds
@@ -507,7 +521,7 @@ def test_criterion2_is_deterministic():
 def criterion1_at(eps):
     return check_criterion1(
         paper_family(), smooth_gauge_family(), osc.index_selector(),
-        alpha1=100.0, eps=eps, trials=1, index_headroom=1, seed=0,
+        alpha1=100.0, eps=eps, trials=1, seed=0,
     )
 
 
@@ -559,7 +573,7 @@ def check_with_threshold(wrap):
     sel = IndexSelector(wrap(osc.index_selector().threshold))
     return check_criterion1(
         paper_family(), osc.loop_gauge_family(), sel,
-        alpha1=SIN1, eps=1e-2, trials=2, index_headroom=5, seed=0,
+        alpha1=SIN1, eps=1e-2, trials=2, seed=0,
     )
 
 

@@ -216,6 +216,39 @@ def test_overlapped_keeps_order_and_one_total_in_flight():
     assert max(peak) == 1
 
 
+def test_overlapped_runs_every_total_on_one_worker_thread():
+    from gaugequad.integrator import _overlapped
+
+    threads = _overlapped(lambda i, p: threading.current_thread(), iter(range(5)))
+    assert len(threads) == 5
+    assert all(t is threads[0] for t in threads)
+    assert threads[0] is not threading.current_thread()
+    assert threads[0].name.startswith("gaugequad-sum")
+
+
+def test_overlapped_stops_building_after_a_failed_total():
+    from gaugequad.integrator import _overlapped
+
+    builds = []
+
+    def parts():
+        for k in range(5):
+            builds.append(k)
+            yield k
+
+    def total(i, p):
+        if i == 1:
+            raise NonFiniteValue("total 1")
+        return p
+
+    before = threading.active_count()
+    with pytest.raises(NonFiniteValue, match="total 1"):
+        _overlapped(total, parts())
+    # total 1 overlaps build 2 and is awaited before build 3 starts
+    assert builds == [0, 1, 2]
+    assert threading.active_count() == before
+
+
 def test_sum_error_wins_over_the_next_build_error(monkeypatch):
     from gaugequad import integrator
 
