@@ -6,7 +6,8 @@ bookkeeping), converge (criterion checkers), demo (headline walkthrough).
 
 Exit codes: 0 success, 1 usage error (including an --out that cannot be
 written and a loops --n-max over its cap), 2 non-convergence (including a
-gauge too fine for the bisection depth) or failed check.
+gauge too fine for the bisection depth and a solve that runs out of
+memory) or failed check.
 CSV output uses 17 significant digits so doubles round-trip; identical
 configurations (including seed) produce byte-identical output.
 """
@@ -329,6 +330,9 @@ def main(argv=None) -> int:
     except (_UsageError, GaugeQuadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED if isinstance(exc, DepthExceeded) else EXIT_USAGE
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too, from either thread
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ integration never depends on those phases.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -242,7 +241,11 @@ def loop_gauge_family() -> GaugeFamily:
     Evaluation.  Away from the roots the tent s of `_tent_delta` exceeds c,
     and there min(min(h, s), c) = min(h, c) exactly.  A phase certificate
     finds such points without computing s; only the rest pay for
-    `_tent_delta`.  It reads `_tent_delta`'s own q = fl(1/(x x)/pi - 1/2),
+    `_tent_delta`.  The kernel runs the certificate first, then forms c in
+    the output array, reads the uncertified points' c from it, and applies
+    the min with h, their exact values, the 1e-8 x floor and the value h at
+    x <= 0 in place, so at most two point-length float arrays are live at
+    once.  The certificate reads `_tent_delta`'s own q = fl(1/(x x)/pi - 1/2),
     whose integers are the roots and whose floor is the bracket index k,
     and passes x when
         1 <= q < eps 2**50   and   |q - rint(q)| >= 8 eps.
@@ -278,16 +281,17 @@ def loop_gauge_family() -> GaugeFamily:
 
     def delta(x, eps):
         h = math.sqrt(0.5 * eps)
-        cube = 2.0 * eps * x  # then * x * x, as 2.0 * eps * x * x * x
-        cube *= x
-        cube *= x
-        out = np.minimum(cube, h)
         slow = _uncertified(x, eps)
         xs = x[slow]
-        exact = np.minimum(_tent_delta(xs, h), cube[slow])
+        out = 2.0 * eps * x  # then * x * x, as 2.0 * eps * x * x * x
+        out *= x
+        out *= x
+        exact = np.minimum(_tent_delta(xs, h), out[slow])
+        np.minimum(out, h, out=out)
         out[slow] = np.maximum(exact, np.spacing(xs))
         np.maximum(out, _REL_FLOOR * x, out=out)
-        return np.where(x > 0.0, out, h)
+        out[~(x > 0.0)] = h
+        return out
 
     return _family(delta)
 

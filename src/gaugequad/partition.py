@@ -193,7 +193,11 @@ def _build_fine(
     [u, mid] then all right children [mid, v], so U = B[:2m] and
     V = B[m:3m] are views and the split points are written into B[3m:].
     Level 0 is [a, b, M] with n = 1.  The gauge values dU and dV are views
-    of a 3 x m block D in the same way.  A level whose spans are not all
+    of a 3 x m block D in the same way.  Each frontier-length temporary
+    goes at its last use: span after the mid test, the code, first and
+    taken arrays once the index arrays ti and pi exist, and the old D and
+    dM once the next D is gathered, so the next B is allocated beside only
+    this level's B, the next D and pi.  A level whose spans are not all
     positive raises DepthExceeded: its parent reached adjacent floats.  For
     finite doubles with gradual underflow a - b > 0 iff a > b, so this is
     the test u < mid < v on every split.
@@ -212,8 +216,10 @@ def _build_fine(
     B[oM + i] and B[oV + i], with off = (0, oM, oV) = (0, 3m, m), or
     (0, 2, 1) at level 0, so each accepted tag is the one element
     B[ti + off[first]], the very float that choosing among gathered copies
-    of U, M and V would give.  The pending cells' (u, mid, v) and their
-    gauge values are gathered straight into the next level's B and D.
+    of U, M and V would give; the offsets are added into ti in place, once
+    the left ends U[ti] are taken.  The pending cells' gauge values and
+    then their (u, mid, v) are gathered straight into the next level's D
+    and B.
 
     Order.  Accepted cells tile [a, b], so their left ends are distinct and
     sorting them by value gives every point but b.  The tags need no
@@ -224,7 +230,25 @@ def _build_fine(
     division point or the split point of its own cell, the division points
     strictly increase so at most one is zero, and a split-point tag of zero
     lies strictly inside its cell, which leaves no division point at zero.
+    The levels run in `_levels`, so the last level's arrays are gone before
+    these sorts and concatenations.
     """
+    acc_t, acc_u = _levels(domain, g, rng)
+    tags = np.concatenate(acc_t)
+    del acc_t
+    tags.sort()
+    points = np.empty(tags.size + 1)
+    np.concatenate(acc_u, out=points[:-1])
+    del acc_u
+    points[:-1].sort()
+    points[-1] = domain.b
+    return tags, points
+
+
+def _levels(
+    domain: Interval, g: Gauge, rng: np.random.Generator | None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """`_build_fine`'s level loop: each level's accepted tags and left ends."""
     B = np.empty(3)
     B[0], B[1] = domain.a, domain.b
     n, oV, oM = 1, 1, 2
@@ -261,14 +285,18 @@ def _build_fine(
         del w
         dM = g.eval_many(M)
         code |= (span < dM).view(np.uint8) << 1
+        del span
         first = _FIRST.take(code)
+        del code
         taken = first < 3
         ti = np.flatnonzero(taken)
-        at = np.array((0, oM, oV)).take(first.take(ti))
-        at += ti
-        acc_t.append(B.take(at))
-        acc_u.append(U.take(ti))
         pi = np.flatnonzero(~taken)
+        del taken
+        first = first.take(ti)
+        acc_u.append(U.take(ti))
+        ti += np.array((0, oM, oV)).take(first)
+        acc_t.append(B.take(ti))
+        del ti
         m = pi.size
         if m == 0:
             break
@@ -279,23 +307,19 @@ def _build_fine(
             )
         # pi is in range, so mode="clip" clips nothing; it spares the
         # buffered copy that take(out=...) makes under the default "raise".
-        C, D = np.empty((5, m)), np.empty((3, m))
-        U.take(pi, out=C[0], mode="clip")
-        M.take(pi, out=C[1], mode="clip")
-        V.take(pi, out=C[2], mode="clip")
+        D = np.empty((3, m))
         dU.take(pi, out=D[0], mode="clip")
         dM.take(pi, out=D[1], mode="clip")
         dV.take(pi, out=D[2], mode="clip")
-        B, n, oV, oM = C.ravel(), 2 * m, m, 3 * m
+        del dM
         dU, dV = D[:2].ravel(), D[1:].ravel()
-
-    tags = np.concatenate(acc_t)
-    tags.sort()
-    points = np.empty(tags.size + 1)
-    np.concatenate(acc_u, out=points[:-1])
-    points[:-1].sort()
-    points[-1] = domain.b
-    return tags, points
+        C = np.empty((5, m))
+        U.take(pi, out=C[0], mode="clip")
+        M.take(pi, out=C[1], mode="clip")
+        V.take(pi, out=C[2], mode="clip")
+        del pi
+        B, n, oV, oM = C.ravel(), 2 * m, m, 3 * m
+    return acc_t, acc_u
 
 
 def cousin_partition(domain: Interval, g: Gauge) -> TaggedPartition:

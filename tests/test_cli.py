@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from gaugequad import cli, partition
+from gaugequad import cli, integrator, oscillator, partition
 from gaugequad.cli import main
 from gaugequad.oscillator import loop_area_estimate, loop_root
 
@@ -105,6 +106,33 @@ def test_depth_exceeded_exits_not_converged(capsys, monkeypatch):
         2, "", "error: 256 cells still unacceptable at depth 8; "
         "gauge is finer than float spacing allows\n",
     )
+
+
+_NO_MEMORY = "Unable to allocate 384. MiB for an array with shape (50331648,) and data type float64"
+
+
+def test_memory_error_on_the_build_thread_exits_not_converged(capsys, monkeypatch):
+    def build(*args):
+        raise MemoryError(_NO_MEMORY)
+
+    monkeypatch.setattr(integrator, "_random_partition", build)
+    assert run(capsys, ["integrate", "poly-3", "--tol", "1e-3"]) == (
+        2, "", f"error: out of memory: {_NO_MEMORY}\n"
+    )
+
+
+def test_memory_error_on_the_sum_worker_exits_not_converged(capsys, monkeypatch):
+    threads = []
+
+    def integrand(x):
+        threads.append(threading.current_thread())
+        raise MemoryError()
+
+    monkeypatch.setattr(oscillator, "f", integrand)
+    assert run(capsys, ["integrate", "f", "--tol", "1e-2"]) == (
+        2, "", "error: out of memory: allocation failed\n"
+    )
+    assert threads and threading.main_thread() not in threads
 
 
 def test_unknown_command_is_usage_error(capsys):
