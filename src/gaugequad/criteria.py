@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IndexBelowQ, LengthMismatch, NonFiniteValue
 from .integrator import _block_sum, _overlapped, _partitions, riemann_sum
-from .partition import Gauge, Interval, TaggedPartition, _eval_points
+from .partition import Gauge, Interval, TaggedPartition, _checked, _eval_points
 
 __all__ = [
     "IntegrandFamily",
@@ -121,18 +121,16 @@ def variable_index_sum(
 
     def values(i: int, j: int) -> np.ndarray:
         out = np.asarray(fam.member_at(idx[i:j], tags[i:j]), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteValue("family member non-finite at a tag")
-        return out
+        return _checked(out, tags[i:j], np.isfinite, NonFiniteValue, "family member non-finite")
 
     return _block_sum(values, p)
 
 
 def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:
-    out = _eval_points(sel.threshold, tags, dtype=None).astype(np.int64, copy=False)
-    if not np.all(out >= 1):
-        raise ValueError("selector thresholds must be positive")
-    return out
+    """sel.threshold at the tags as int64, each at least 1 (ValueError otherwise)."""
+    return _eval_points(
+        sel.threshold, tags, lambda q: q >= 1, ValueError, "selector threshold below 1", np.int64
+    )
 
 
 def check_criterion1(

@@ -6,7 +6,6 @@ __all__ = [
     "DepthExceeded",
     "NonFiniteValue",
     "InvalidTolerance",
-    "WitnessNotFound",
     "DomainError",
     "LengthMismatch",
     "IndexBelowQ",
@@ -37,16 +36,17 @@ class InvalidTolerance(GaugeQuadError):
     """A tolerance argument was not strictly positive."""
 
 
-class WitnessNotFound(GaugeQuadError):
-    """The unboundedness tag search exhausted its probe budget."""
-
-
 class DomainError(GaugeQuadError):
     """An argument lies outside the function's domain."""
 
 
 class LengthMismatch(GaugeQuadError):
-    """An index vector does not match the partition's cell count."""
+    """An array has the wrong shape for its use.
+
+    An index vector does not match the partition's cell count, or a user
+    callable's result does not broadcast to the shape of the points it was
+    called on.
+    """
 
 
 class IndexBelowQ(GaugeQuadError):

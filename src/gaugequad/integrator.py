@@ -16,12 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import (
-    DepthExceeded,
-    InvalidTolerance,
-    NonFiniteValue,
-    WitnessNotFound,
-)
+from .errors import DepthExceeded, InvalidTolerance, NonFiniteValue
 from .partition import (
     Gauge,
     Interval,
@@ -41,11 +36,11 @@ __all__ = [
     "riemann_sum",
     "sum_defect",
     "gauge_integrate",
-    "riemann_unboundedness_witness",
 ]
 
 #: A pointwise integrand: a callable returning finite floats on its domain.
-#: Array-capable callables are exploited for speed but not required.
+#: Array-capable callables are exploited for speed but not required; on an
+#: array the result must broadcast to the array's shape.
 RealFunction = Callable
 
 #: Refinement stops once a single partition would exceed this many cells.
@@ -53,8 +48,6 @@ _MAX_CELLS = 30_000_000
 
 #: Cap on eps-halving levels inside gauge_integrate.
 _MAX_LEVELS = 48
-
-_WITNESS_PROBES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -122,15 +115,6 @@ def smooth_gauge_family() -> GaugeFamily:
     return _family(lambda x, eps: np.full_like(x, eps ** (2.0 / 3.0)))
 
 
-def _eval_values(f: RealFunction, xs: np.ndarray) -> np.ndarray:
-    """Evaluate an integrand on an array, rejecting non-finite values."""
-    out = _eval_points(f, xs)
-    if not np.all(np.isfinite(out)):
-        bad = xs[~np.isfinite(out)]
-        raise NonFiniteValue(f"integrand non-finite at x={bad[0]}")
-    return out
-
-
 #: Cells per block of a Riemann sum.  Fixed, so a sum's rounding depends on
 #: neither the machine's BLAS nor its thread count.
 _BLOCK = 1 << 16
@@ -171,7 +155,10 @@ def riemann_sum(f: RealFunction, p: TaggedPartition) -> float:
     so f and the gauge must not share unsynchronised mutable state.
     """
     tags = p.tags
-    return _block_sum(lambda i, j: _eval_values(f, tags[i:j]), p)
+    return _block_sum(
+        lambda i, j: _eval_points(f, tags[i:j], np.isfinite, NonFiniteValue, "integrand non-finite"),
+        p,
+    )
 
 
 def sum_defect(F: RealFunction, f: RealFunction, p: TaggedPartition) -> float:
@@ -301,56 +288,3 @@ def gauge_integrate(
             break
         eps *= 0.5
     return last
-
-
-def riemann_unboundedness_witness(
-    f: RealFunction,
-    domain: Interval,
-    delta_const: float,
-    bound: float,
-) -> TaggedPartition:
-    """A partition with all cells shorter than delta_const whose Riemann
-    sum exceeds `bound` in magnitude.
-
-    Demonstrates that the constant-delta (ordinary Riemann) rule cannot
-    converge for an integrand unbounded near the domain's left endpoint:
-    the first cell's tag is swept geometrically toward that endpoint until
-    |f(tag)| * length dominates the rest of the sum.  Raises
-    WitnessNotFound when the sweep exhausts its probe budget, as happens
-    for bounded integrands.
-    """
-    if not (math.isfinite(delta_const) and delta_const > 0.0 and math.isfinite(bound)):
-        raise ValueError(f"need finite delta_const > 0 and bound: {delta_const}, {bound}")
-    n = max(2, math.ceil(domain.length / (0.9 * delta_const)))
-    edges = np.linspace(domain.a, domain.b, n + 1)
-    lefts, rights = edges[:-1], edges[1:]
-    tags = 0.5 * (lefts + rights)
-    first_len = float(rights[0] - lefts[0])
-
-    rest_sum = riemann_sum(f, TaggedPartition(tags[1:], edges[1:]))
-    target = abs(bound) + abs(rest_sum)
-
-    # geometric sweep of candidate tags toward domain.a, batched
-    ratio = 0.9
-    batch = 1024
-    offset = first_len * ratio
-    probes_left = _WITNESS_PROBES
-    while probes_left > 0 and offset > 0.0:
-        k = np.arange(min(batch, probes_left))
-        offs = offset * ratio**k
-        cand = domain.a + offs
-        cand = cand[cand > domain.a]
-        if cand.size == 0:
-            break
-        vals = np.abs(_eval_values(f, cand)) * first_len
-        hit = np.nonzero(vals > target)[0]
-        if hit.size:
-            t0 = float(cand[hit[0]])
-            new_tags = tags.copy()
-            new_tags[0] = t0
-            return TaggedPartition(new_tags, edges)
-        probes_left -= cand.size
-        offset = float(offs[-1]) * ratio
-    raise WitnessNotFound(
-        f"no tag with |f(tag)|*{first_len:.3g} exceeding {target:.3g} found"
-    )

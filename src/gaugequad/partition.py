@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DepthExceeded, InvalidGauge
+from .errors import DepthExceeded, InvalidGauge, LengthMismatch
 
 __all__ = [
     "Interval",
@@ -68,20 +68,39 @@ class Interval:
         return self.b - self.a
 
 
-def _eval_points(fn: Callable, xs: np.ndarray, dtype=float) -> np.ndarray:
-    """fn on every point of xs: one array call, else one call per point.
+def _eval_points(fn: Callable, xs: np.ndarray, ok, error, what: str, dtype=float) -> np.ndarray:
+    """fn on every point of xs, as `_checked` accepts it.
 
-    A result of another shape is broadcast and copied, so the caller gets
-    a writable array of xs's shape, not a read-only stride-0 view; a
-    callable that rejects arrays with TypeError or ValueError is called
-    once per point.
+    One array call, coerced to dtype; a callable that rejects arrays with
+    TypeError or ValueError is called once per point.  The result must
+    broadcast to xs's shape.
     """
     try:
         out = np.asarray(fn(xs), dtype=dtype)
-        if out.shape != xs.shape:
-            out = np.broadcast_to(out, xs.shape).copy()
     except (TypeError, ValueError):
         out = np.array([fn(float(x)) for x in xs], dtype=dtype)
+    return _checked(out, xs, ok, error, what)
+
+
+def _checked(out: np.ndarray, xs: np.ndarray, ok, error, what: str) -> np.ndarray:
+    """out as a writable array of xs's shape, every value passing ok.
+
+    A result of another shape must broadcast to xs's shape, and is then
+    copied, not returned as a read-only stride-0 view; any other shape
+    raises LengthMismatch naming both.  ok maps the values to a bool mask,
+    and the first point where it is false raises error(f"{what} at x=...").
+    """
+    if out.shape != xs.shape:
+        try:
+            out = np.broadcast_to(out, xs.shape).copy()
+        except ValueError:
+            raise LengthMismatch(
+                f"result of shape {out.shape} does not broadcast to "
+                f"the points' shape {xs.shape}"
+            ) from None
+    good = ok(out)
+    if not good.all():
+        raise error(f"{what} at x={xs[~good][0]}")
     return out
 
 
@@ -90,8 +109,9 @@ class Gauge:
     """A strictly positive fineness rule delta(x).
 
     `delta` may be any callable on floats; array-capable callables are
-    exploited for speed but not required.  A scalar call is one
-    `eval_many` on a one-point array, so values are checked in one place.
+    exploited for speed but not required.  On an array its result must
+    broadcast to the array's shape.  A scalar call is one `eval_many` on a
+    one-point array, so values are checked in one place.
     """
 
     delta: Callable
@@ -101,11 +121,10 @@ class Gauge:
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the gauge on an array of points, validating positivity."""
-        out = _eval_points(self.delta, xs)
-        if not np.all(np.isfinite(out) & (out > 0.0)):
-            bad = xs[~(np.isfinite(out) & (out > 0.0))]
-            raise InvalidGauge(f"gauge non-positive or non-finite at x={bad[0]}")
-        return out
+        return _eval_points(
+            self.delta, xs, lambda d: np.isfinite(d) & (d > 0.0),
+            InvalidGauge, "gauge non-positive or non-finite",
+        )
 
 
 class TaggedPartition:

@@ -14,10 +14,8 @@ from gaugequad import (
     InvalidTolerance,
     NonFiniteValue,
     TaggedPartition,
-    WitnessNotFound,
     gauge_integrate,
     riemann_sum,
-    riemann_unboundedness_witness,
     smooth_gauge_family,
     sum_defect,
 )
@@ -389,30 +387,17 @@ def test_gauge_integrate_unconverged_returns_last_estimate(monkeypatch):
     assert est.spread > 1e-12
 
 
-# ----------------------------------------- riemann_unboundedness_witness
+# --------------------------------- constant delta: Riemann sums diverge
 
-def test_witness_found_for_unbounded_oscillator():
-    p = riemann_unboundedness_witness(osc.f, Interval(0.0, 1.0), 0.1, 1e3)
-    assert np.all(p.lengths < 0.1)
-    assert abs(riemann_sum(osc.f, p)) > 1e3
-
-
-def test_witness_larger_bound_still_found():
-    p = riemann_unboundedness_witness(osc.f, Interval(0.0, 1.0), 0.1, 1e6)
-    assert abs(riemann_sum(osc.f, p)) > 1e6
-
-
-@pytest.mark.parametrize(
-    "delta_const, bound",
-    [(math.nan, 1e3), (math.inf, 1e3), (0.0, 1e3), (0.1, math.nan), (0.1, math.inf)],
-)
-def test_witness_rejects_non_finite_inputs(delta_const, bound):
-    with pytest.raises(ValueError, match="need finite delta_const > 0 and bound"):
-        riemann_unboundedness_witness(osc.f, Interval(0.0, 1.0), delta_const, bound)
-
-
-def test_witness_not_found_for_bounded_function():
-    with pytest.raises(WitnessNotFound):
-        riemann_unboundedness_witness(
-            lambda x: np.asarray(x, dtype=float), Interval(0.0, 1.0), 0.1, 1e3
-        )
+@pytest.mark.parametrize("n", [10**3, 10**6, 10**9])
+def test_constant_delta_riemann_sums_of_f_are_unbounded(n):
+    # The paper's contrast: f's gauge integral is sin 1, yet a partition
+    # with every cell 0.1 long, fine for any constant delta > 0.1, has a
+    # sum of any size.  At t = 1/sqrt(2 pi n), sin(1/t^2) = 0 and
+    # cos(1/t^2) = 1, so f(t) = -2/t and the first term is -0.2 sqrt(2 pi n),
+    # while the other nine terms stay bounded.
+    edges = np.linspace(0.0, 1.0, 11)
+    tags = 0.5 * (edges[:-1] + edges[1:])
+    tags[0] = 1.0 / math.sqrt(2.0 * math.pi * n)
+    total = riemann_sum(osc.f, TaggedPartition(tags, edges))
+    assert abs(total) > 0.1 * math.sqrt(2.0 * math.pi * n)

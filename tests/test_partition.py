@@ -8,14 +8,20 @@ from hypothesis import strategies as st
 from gaugequad import (
     DepthExceeded,
     Gauge,
+    IndexSelector,
+    IntegrandFamily,
     Interval,
     InvalidGauge,
+    LengthMismatch,
+    NonFiniteValue,
     TaggedPartition,
     cousin_partition,
     is_delta_fine,
     random_delta_fine_partition,
+    riemann_sum,
+    variable_index_sum,
 )
-from gaugequad import partition
+from gaugequad import criteria, partition
 
 from conftest import const_gauge
 
@@ -87,6 +93,67 @@ def test_fineness_reports_invalid_gauge():
         is_delta_fine(p, Gauge(lambda x: x - 0.5))  # zero/negative at tags
     with pytest.raises(InvalidGauge):
         is_delta_fine(p, Gauge(lambda x: math.nan))
+
+
+# ---------------------------------------------------- checked evaluation
+
+FIVE = TaggedPartition([0.1, 0.3, 0.5, 0.7, 0.9], np.linspace(0.0, 1.0, 6))
+
+#: Each site that evaluates a user callable fn on FIVE's tags, as run(fn),
+#: with the typed error a bad value raises there.
+SITES = {
+    "gauge": (lambda fn: is_delta_fine(FIVE, Gauge(fn)), InvalidGauge),
+    "integrand": (lambda fn: riemann_sum(fn, FIVE), NonFiniteValue),
+    "family member": (
+        lambda fn: variable_index_sum(
+            IntegrandFamily(lambda j, x: fn(x), Interval(0.0, 1.0)), np.ones(5, dtype=int), FIVE
+        ),
+        NonFiniteValue,
+    ),
+    "selector threshold": (
+        lambda fn: criteria._thresholds(IndexSelector(fn), FIVE.tags), ValueError
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "site, bad, good",
+    [("gauge", 0.0, 1.0), ("integrand", math.inf, 1.0), ("family member", math.nan, 1.0),
+     ("selector threshold", 0, 1)],
+)
+def test_bad_value_raises_the_sites_error_at_the_first_bad_point(site, bad, good):
+    run, error = SITES[site]
+    with pytest.raises(error, match=r" at x=0\.5$"):
+        run(lambda x: np.where(np.asarray(x) > 0.4, bad, good))
+
+
+@pytest.mark.parametrize("site", SITES)
+@pytest.mark.parametrize(
+    "result", [lambda x: np.ones(2), lambda x: np.asarray(x)[:, None]], ids=["length-2", "column"]
+)
+def test_wrong_shaped_result_raises_after_one_call(site, result):
+    run, _ = SITES[site]
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return result(x)
+
+    with pytest.raises(LengthMismatch, match=r"does not broadcast to the points' shape \(5,\)"):
+        run(fn)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_result_that_broadcasts_is_accepted(site):
+    run, _ = SITES[site]
+    run(lambda x: 1)
+
+
+def test_broadcast_result_is_a_writable_copy():
+    out = partition._eval_points(lambda x: 0.5, FIVE.tags, np.isfinite, ValueError, "bad")
+    assert out.shape == (5,) and out.flags.writeable
+    assert out.tolist() == [0.5] * 5
 
 
 # -------------------------------------------------------- cousin_partition
