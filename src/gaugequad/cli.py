@@ -113,7 +113,7 @@ def _validate(ns) -> None:
             raise _UsageError("integrate fj requires --j")
         if ns.j is not None and ns.j < 1:
             raise _UsageError("--j must be >= 1")
-        if ns.j is not None and ns.j > 2**53:  # f_j, its gauge and F_j use float(j)
+        if ns.j is not None and ns.j > 2**53:  # f_j, its gauge and its closed form use float(j)
             raise _UsageError("--j must be <= 2**53")
         if ns.j is not None and ns.function != "fj":
             raise _UsageError("--j applies only to integrate fj")
@@ -267,7 +267,6 @@ def cmd_converge(ns) -> int:
             gauge_for=lambda j: oscillator.truncated_gauge_family(j).at(0.5 * ns.eps),
             alpha2=sin1,
             eps=ns.eps,
-            q=q,
             j_list=[q + 1, 2 * q, 10 * q],
             trials=ns.trials,
             seed=ns.seed,

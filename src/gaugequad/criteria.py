@@ -10,14 +10,15 @@ evidence gatherers, not provers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IndexBelowQ, LengthMismatch, NonFiniteValue
-from .integrator import _block_sum, _overlapped, _partitions, riemann_sum
+from .errors import InvalidIndex, InvalidTolerance, LengthMismatch, NonFiniteValue
+from .integrator import _block_sum, _check_accuracy, _overlapped, _partitions, riemann_sum
 from .partition import Gauge, Interval, TaggedPartition, _checked, _eval_points
 
 __all__ = [
@@ -80,25 +81,24 @@ def _report(alpha: float, eps: float, band: float, devs: list[float]) -> Criteri
     )
 
 
-def _positive_indices(indices) -> np.ndarray:
-    """indices as an array, each a finite integer >= 1 (integral floats pass)."""
-    arr = np.asarray(indices)
-    if arr.dtype == object:  # Python ints beyond the int64 and uint64 range
-        try:
-            arr = arr.astype(float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("indices must be positive integers") from None
-    integral = arr.dtype.kind in "iu" or np.all(np.isfinite(arr) & (np.floor(arr) == arr))
-    if not (integral and np.all(arr >= 1)):
-        raise ValueError("indices must be positive integers")
-    return arr
+def _positive_indices(indices, n: int | None = None) -> np.ndarray:
+    """indices as an array, each a finite integer >= 1: the one index rule.
 
-
-def _indices_array(indices, n: int) -> np.ndarray:
+    Integral floats and Python ints beyond the int64 range pass; any other
+    value raises InvalidIndex.  Given n, indices must also be a 1-d array
+    of exactly n entries, and LengthMismatch is raised otherwise.
+    """
     arr = np.asarray(indices)
-    if arr.ndim != 1 or arr.size != n:
+    if n is not None and arr.shape != (n,):
         raise LengthMismatch(f"expected {n} indices, got shape {arr.shape}")
-    return _positive_indices(arr)
+    try:  # an object array holds Python ints beyond the int64 and uint64 range
+        arr = arr.astype(float) if arr.dtype == object else arr
+        integral = arr.dtype.kind in "iu" or np.all(np.isfinite(arr) & (np.floor(arr) == arr))
+    except (TypeError, ValueError, OverflowError):  # also strings and complex values
+        integral = False
+    if not (integral and np.all(arr >= 1)):
+        raise InvalidIndex("indices must be positive integers")
+    return arr
 
 
 def variable_index_sum(
@@ -116,7 +116,7 @@ def variable_index_sum(
     thread evaluates the next partition's gauge, so the family and the
     gauge must not share unsynchronised mutable state.
     """
-    idx = _indices_array(indices, len(p))
+    idx = _positive_indices(indices, len(p))
     tags = p.tags
 
     def values(i: int, j: int) -> np.ndarray:
@@ -127,10 +127,16 @@ def variable_index_sum(
 
 
 def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:
-    """sel.threshold at the tags as int64, each at least 1 (ValueError otherwise)."""
-    return _eval_points(
-        sel.threshold, tags, lambda q: q >= 1, ValueError, "selector threshold below 1", np.int64
-    )
+    """sel.threshold at the tags as int64, each in [1, 2**63).
+
+    The values are checked in the selector's own dtype, so nan, inf and
+    values past int64 raise InvalidIndex at their first point, and then
+    cast once: an int64 result is returned without a copy.  The bound is
+    the float 2.0**63, which numpy compares with bool results too.
+    """
+    ok = lambda q: (q >= 1) & (q < 2.0**63)  # noqa: E731
+    q = _eval_points(sel.threshold, tags, ok, InvalidIndex, "selector threshold out of range", None)
+    return q.astype(np.int64, copy=False)
 
 
 def check_criterion1(
@@ -155,10 +161,13 @@ def check_criterion1(
     family and selector run on the worker and the gauge on the caller's
     thread: they must not share unsynchronised mutable state.  Sums follow
     riemann_sum's block rule.  A seed that is not a non-negative integer
-    raises ValueError before any build.
+    raises ValueError before any build, as does a trials that is not an
+    integer >= 1; an eps that is not finite and positive raises
+    InvalidTolerance.
     """
-    if not (math.isfinite(eps) and eps > 0.0) or trials < 1:
-        raise ValueError("finite eps > 0 and trials >= 1 required")
+    _check_accuracy("eps", eps)
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"integer trials >= 1 required, got {trials!r}")
 
     def deviation(i: int, p: TaggedPartition) -> float:
         rng = np.random.default_rng([seed, 2, i])
@@ -174,39 +183,35 @@ def check_criterion2(
     gauge_for: Callable[[int], Gauge],
     alpha2: float,
     eps: float,
-    q: int,
     j_list: Sequence[int],
     trials: int,
     seed: int,
 ) -> CriterionReport:
     """Sample the fixed-index inequality |alpha2 - sum| < 2*eps.
 
-    q must be finite, and each j in j_list a positive integer (ValueError
-    otherwise) that exceeds q (IndexBelowQ otherwise).  Each j gets its own
-    gauge via gauge_for(j), following the per-index gauge construction, and
-    its cousin partition plus `trials` seeded ones.  Each partition is
-    summed on a worker thread while the caller's thread builds the next
-    one, across j values too, so f_j runs on the worker and gauge_for and
-    its gauges on the caller's thread: they must not share unsynchronised
-    mutable state.  Sums follow riemann_sum's block rule.  A seed that is
-    not a non-negative integer raises ValueError before any build.  The
-    acceptance band is 2*eps, the bound the triangle inequality yields.
+    j_list must be a non-empty 1-d sequence of positive integers
+    (InvalidIndex or LengthMismatch otherwise); choosing them large enough
+    for the criterion's "for every large enough j" is the caller's part.
+    Each j gets its own gauge via gauge_for(j), following the per-index
+    gauge construction, and its cousin partition plus `trials` seeded
+    ones.  Each partition is summed on a worker thread while the caller's
+    thread builds the next one, across j values too, so f_j runs on the
+    worker and gauge_for and its gauges on the caller's thread: they must
+    not share unsynchronised mutable state.  Sums follow riemann_sum's block rule.  A seed that is
+    not a non-negative integer raises ValueError before any build, as do a
+    trials that is not an integer >= 1 and an empty j_list; an eps that is
+    not finite and positive raises InvalidTolerance.  The acceptance band
+    is 2*eps, the bound the triangle inequality yields.
     """
-    # chained comparisons, not math.isfinite, so that a Python int q
-    # beyond the float range still counts as finite
-    bad_q = not -math.inf < q < math.inf
-    if not (math.isfinite(eps) and eps > 0.0) or bad_q or trials < 1 or len(j_list) == 0:
-        raise ValueError("finite eps > 0 and q, trials >= 1 and a non-empty j_list required")
-    _indices_array(j_list, len(j_list))
-    for j in j_list:
-        if j <= q:
-            raise IndexBelowQ(f"index {j} not above q = {q}")
+    _check_accuracy("eps", eps)
+    if not (isinstance(trials, numbers.Integral) and trials >= 1) or len(j_list) == 0:
+        raise ValueError("integer trials >= 1 and a non-empty j_list required")
+    _positive_indices(j_list, len(j_list))
 
     def stream():  # every j's partitions as one stream, so the overlap never drains
-        for jn, j in enumerate(j_list):
-            fj = partial(fam.member_at, int(j))
-            for p in _partitions(fam.domain, gauge_for(int(j)), [seed, 3, jn], trials, True):
-                yield fj, p
+        for jn, j in enumerate(map(int, j_list)):
+            for p in _partitions(fam.domain, gauge_for(j), [seed, 3, jn], trials, True):
+                yield partial(fam.member_at, j), p
                 del p  # not held while the next partition builds
 
     devs = _overlapped(lambda _, fj_p: abs(alpha2 - riemann_sum(*fj_p)), stream())
@@ -218,5 +223,5 @@ def check_criterion3(alpha1: float, alpha2: float, tol: float) -> bool:
     interchange, i.e. the integral of the limit equals the limit of the
     integrals."""
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+        raise InvalidTolerance(f"tol must be finite and >= 0, got {tol}")
     return abs(alpha1 - alpha2) <= tol

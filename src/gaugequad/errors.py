@@ -8,7 +8,7 @@ __all__ = [
     "InvalidTolerance",
     "DomainError",
     "LengthMismatch",
-    "IndexBelowQ",
+    "InvalidIndex",
 ]
 
 
@@ -32,8 +32,12 @@ class NonFiniteValue(GaugeQuadError):
     """An integrand or integrator function produced NaN or infinity."""
 
 
-class InvalidTolerance(GaugeQuadError):
-    """A tolerance argument was not strictly positive."""
+class InvalidTolerance(GaugeQuadError, ValueError):
+    """An accuracy argument was out of range.
+
+    gauge_integrate's tol, a family's eps and the criteria's eps must be
+    finite and positive; check_criterion3's tol must be finite and >= 0.
+    """
 
 
 class DomainError(GaugeQuadError):
@@ -43,11 +47,15 @@ class DomainError(GaugeQuadError):
 class LengthMismatch(GaugeQuadError):
     """An array has the wrong shape for its use.
 
-    An index vector does not match the partition's cell count, or a user
-    callable's result does not broadcast to the shape of the points it was
-    called on.
+    An index vector is not 1-d with one entry per partition cell (or per
+    j_list entry), or a user callable's result does not broadcast to the
+    shape of the points it was called on.
     """
 
 
-class IndexBelowQ(GaugeQuadError):
-    """A fixed-index check was asked to use an index not above its threshold q."""
+class InvalidIndex(GaugeQuadError, ValueError):
+    """An index or selector threshold is not a positive integer.
+
+    Indices must be finite integers >= 1 (integral floats pass); selector
+    thresholds must be at least 1 and below 2**63, so they fit in int64.
+    """

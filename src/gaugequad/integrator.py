@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -80,6 +81,12 @@ class GaugeFamily:
     at: Callable[[float], Gauge]
 
 
+def _check_accuracy(name: str, value: float) -> None:
+    """InvalidTolerance unless the accuracy argument `name` is finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidTolerance(f"{name} must be finite and positive, got {value}")
+
+
 def _family(delta: Callable[[np.ndarray, float], np.ndarray]) -> GaugeFamily:
     """The family whose gauge at eps is the array kernel delta(x, eps).
 
@@ -89,8 +96,7 @@ def _family(delta: Callable[[np.ndarray, float], np.ndarray]) -> GaugeFamily:
     """
 
     def at(eps: float) -> Gauge:
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise ValueError(f"eps must be finite and positive, got {eps}")
+        _check_accuracy("eps", eps)
 
         def gauge(x):
             x = np.asarray(x, dtype=float)
@@ -255,13 +261,13 @@ def gauge_integrate(
 
     Returns converged=False (with the last completed estimate) when the
     gauge family outruns float representability before the sums settle.
-    Raises DepthExceeded if that happens on the very first level, and
-    InvalidTolerance for tol <= 0.
+    Raises DepthExceeded if that happens on the very first level,
+    InvalidTolerance for a tol that is not finite and positive, and
+    ValueError before any build for a trials that is not an integer >= 2.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidTolerance(f"tol must be positive, got {tol}")
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
+    _check_accuracy("tol", tol)
+    if not (isinstance(trials, numbers.Integral) and trials >= 2):
+        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
 
     last: IntegralEstimate | None = None
     eps = tol

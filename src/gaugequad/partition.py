@@ -73,7 +73,9 @@ def _eval_points(fn: Callable, xs: np.ndarray, ok, error, what: str, dtype=float
 
     One array call, coerced to dtype; a callable that rejects arrays with
     TypeError or ValueError is called once per point.  The result must
-    broadcast to xs's shape.
+    broadcast to xs's shape.  dtype=None keeps the result's own dtype, so
+    ok sees the values before any cast, and an array of xs's shape comes
+    back without a copy.
     """
     try:
         out = np.asarray(fn(xs), dtype=dtype)

@@ -8,6 +8,17 @@ def const_gauge(c: float) -> Gauge:
     return Gauge(lambda x, _c=c: np.full_like(np.asarray(x, dtype=float), _c))
 
 
+def scalar_only(fn):
+    """fn restricted to scalars: array arguments raise TypeError."""
+
+    def scalar(x):
+        if np.ndim(x):
+            raise TypeError("scalar only")
+        return fn(x)
+
+    return scalar
+
+
 @pytest.fixture
 def unit_interval():
     from gaugequad import Interval

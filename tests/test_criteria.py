@@ -9,10 +9,11 @@ import pytest
 from gaugequad import (
     Gauge,
     GaugeFamily,
-    IndexBelowQ,
     IndexSelector,
     IntegrandFamily,
     Interval,
+    InvalidIndex,
+    InvalidTolerance,
     LengthMismatch,
     check_criterion1,
     check_criterion2,
@@ -27,7 +28,13 @@ from gaugequad import (
 from gaugequad import criteria, integrator
 from gaugequad import oscillator as osc
 
-from conftest import BLOCK_EDGES, block_sum_reference, const_gauge, partition_of_size
+from conftest import (
+    BLOCK_EDGES,
+    block_sum_reference,
+    const_gauge,
+    partition_of_size,
+    scalar_only,
+)
 
 SIN1 = math.sin(1.0)
 UNIT = Interval(0.0, 1.0)
@@ -101,10 +108,12 @@ def test_variable_index_sum_validates_lengths_and_values():
     p = small_partition()
     with pytest.raises(LengthMismatch):
         variable_index_sum(fam, np.ones(len(p) + 1, dtype=int), p)
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch):
+        variable_index_sum(fam, np.ones((len(p), 1), dtype=int), p)
+    with pytest.raises(InvalidIndex):
         variable_index_sum(fam, np.zeros(len(p), dtype=int), p)
-    for bad in (2.5, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    for bad in (2.5, np.nan, np.inf, 10**400, "3", 1j):
+        with pytest.raises(InvalidIndex, match="positive integers"):
             variable_index_sum(fam, np.full(len(p), bad), p)
     assert variable_index_sum(fam, np.full(len(p), 5.0), p) == (
         variable_index_sum(fam, np.full(len(p), 5), p)
@@ -197,6 +206,44 @@ def test_criterion1_draws_each_index_within_the_headroom(monkeypatch, headroom):
     assert set(np.concatenate(above).tolist()) == set(range(1, headroom + 1))
 
 
+def test_criterion1_worst_deviation_follows_every_drawn_index():
+    # With f_j(x) = j, unlike the paper's family, every threshold and every
+    # index draw moves the sum, so the report pins criterion 1's index path:
+    # thresholds plus uniform draws from the seed [seed, 2, i], on the
+    # partition drawn from [seed, 1, i].
+    fam = IntegrandFamily(lambda j, x: np.asarray(j, dtype=float), UNIT)
+    gf, sel = osc.loop_gauge_family(), osc.index_selector()
+    seed, eps, trials = 4, 1e-2, 3
+    rep = check_criterion1(fam, gf, sel, alpha1=SIN1, eps=eps, trials=trials, seed=seed)
+    devs = []
+    for i in range(trials):
+        p = random_delta_fine_partition(UNIT, gf.at(eps), [seed, 1, i])
+        draws = np.random.default_rng([seed, 2, i]).integers(1, 11, len(p))
+        idx = criteria._thresholds(sel, p.tags) + draws
+        devs.append(abs(SIN1 - block_sum_reference(p, idx.astype(float))))
+    assert rep.trials == trials
+    assert rep.worst_deviation == max(devs)
+
+
+def test_thresholds_are_the_ceiling_of_one_over_each_tag_bitwise():
+    p = random_delta_fine_partition(UNIT, osc.loop_gauge_family().at(1e-2), [0, 1, 0])
+    t = p.tags
+    expected = np.ceil(1 / np.where(t > 0, t, 1)).astype(np.int64)
+    threshold = osc.index_selector().threshold
+    for sel in (IndexSelector(threshold), IndexSelector(scalar_only(threshold))):
+        got = criteria._thresholds(sel, t)
+        assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
+
+
+def test_thresholds_are_checked_in_the_selectors_dtype_then_cast_once():
+    tags = np.linspace(0.1, 0.9, 5)
+    q = np.arange(1, 6, dtype=np.int64)
+    assert criteria._thresholds(IndexSelector(lambda x: q), tags) is q  # no copy
+    for result in (q + 0.0, q.astype(np.uint64), q.tolist(), np.ones(5, dtype=bool)):
+        got = criteria._thresholds(IndexSelector(lambda x, _r=result: _r), tags)
+        assert got.dtype == np.int64 and got.tolist() == np.asarray(result, np.int64).tolist()
+
+
 # ------------------------------------------------------- check_criterion2
 
 def test_criterion2_passes_on_the_paper_family():
@@ -207,7 +254,6 @@ def test_criterion2_passes_on_the_paper_family():
         gauge_for=lambda j: osc.truncated_gauge_family(j).at(0.5 * eps),
         alpha2=SIN1,
         eps=eps,
-        q=q,
         j_list=[q + 1, 2 * q, 10 * q],
         trials=2,
         seed=0,
@@ -225,7 +271,6 @@ def test_criterion2_rejects_wrong_center():
         gauge_for=lambda j: osc.truncated_gauge_family(j).at(0.5 * eps),
         alpha2=0.0,
         eps=eps,
-        q=q,
         j_list=[q + 1],
         trials=2,
         seed=0,
@@ -243,7 +288,6 @@ def test_criterion2_constant_family():
         gauge_for=lambda j: const_gauge(0.05),
         alpha2=2.5,
         eps=1e-9,
-        q=1,
         j_list=[2, 5],
         trials=2,
         seed=3,
@@ -280,7 +324,6 @@ def test_criterion2_monotone_unbounded_limit_family():
         gauge_for=gauge_for,
         alpha2=2.0,
         eps=eps,
-        q=q,
         j_list=[q + 1, 2 * q],
         trials=2,
         seed=7,
@@ -288,30 +331,15 @@ def test_criterion2_monotone_unbounded_limit_family():
     assert rep.passed, rep
 
 
-def test_criterion2_rejects_index_at_or_below_q():
-    with pytest.raises(IndexBelowQ):
-        check_criterion2(
-            paper_family(),
-            gauge_for=lambda j: const_gauge(0.1),
-            alpha2=SIN1,
-            eps=1e-2,
-            q=10,
-            j_list=[10],
-            trials=2,
-            seed=0,
-        )
-
-
 @pytest.mark.parametrize("j", [2.5, math.nan, math.inf])
 def test_criterion2_rejects_non_integral_or_non_finite_index(j):
-    # 2.5 is above q = 2 but would run as int(2.5) == 2 == q
-    with pytest.raises(ValueError, match="positive integers"):
+    # 2.5 would run as int(2.5) == 2
+    with pytest.raises(InvalidIndex, match="positive integers"):
         check_criterion2(
             paper_family(),
             gauge_for=lambda j: const_gauge(0.1),
             alpha2=SIN1,
             eps=1e-2,
-            q=2,
             j_list=[j],
             trials=2,
             seed=0,
@@ -326,39 +354,8 @@ def test_criterion2_rejects_empty_j_list():
             gauge_for=lambda j: const_gauge(0.1),
             alpha2=123.0,
             eps=1e-2,
-            q=1,
             j_list=[],
             trials=2,
-            seed=0,
-        )
-
-
-@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
-def test_criterion2_rejects_non_finite_q(q):
-    # a nan q compares false against every index, so IndexBelowQ never fires
-    with pytest.raises(ValueError, match="finite eps > 0 and q"):
-        check_criterion2(
-            paper_family(),
-            gauge_for=lambda j: const_gauge(0.1),
-            alpha2=SIN1,
-            eps=1e-2,
-            q=q,
-            j_list=[2],
-            trials=1,
-            seed=0,
-        )
-
-
-def test_criterion2_accepts_q_beyond_the_float_range():
-    with pytest.raises(IndexBelowQ):
-        check_criterion2(
-            paper_family(),
-            gauge_for=lambda j: const_gauge(0.1),
-            alpha2=SIN1,
-            eps=1e-2,
-            q=10**400,
-            j_list=[2],
-            trials=1,
             seed=0,
         )
 
@@ -384,7 +381,6 @@ def _criterion2_builds():
         gauge_for=lambda j: osc.truncated_gauge_family(j).at(0.5 * eps),
         alpha2=SIN1,
         eps=eps,
-        q=q,
         j_list=[q + 1, 2 * q],
         trials=3,
         seed=0,
@@ -472,7 +468,7 @@ def _seeded_entry_points():
             fam, osc.loop_gauge_family(), sel, alpha1=SIN1, eps=1e-2, trials=2, seed=s,
         ),
         "criterion2": lambda s: check_criterion2(
-            fam, gauge_for=lambda j: const_gauge(0.1), alpha2=SIN1, eps=1e-2, q=1,
+            fam, gauge_for=lambda j: const_gauge(0.1), alpha2=SIN1, eps=1e-2,
             j_list=[2, 3], trials=2, seed=s,
         ),
         "random_delta_fine_partition": lambda s: random_delta_fine_partition(
@@ -501,6 +497,38 @@ def test_negative_seed_raises_before_any_build(monkeypatch, entry, seed):
     assert builds
 
 
+def _trials_entry_points():
+    fam, sel = paper_family(), osc.index_selector()
+    return {
+        "gauge_integrate": lambda n: gauge_integrate(
+            lambda x: x, smooth_gauge_family(), UNIT, 1e-2, trials=n
+        ),
+        "criterion1": lambda n: check_criterion1(
+            fam, osc.loop_gauge_family(), sel, alpha1=SIN1, eps=1e-2, trials=n, seed=0,
+        ),
+        "criterion2": lambda n: check_criterion2(
+            fam, gauge_for=lambda j: const_gauge(0.1), alpha2=SIN1, eps=1e-2,
+            j_list=[2, 3], trials=n, seed=0,
+        ),
+    }
+
+
+@pytest.mark.parametrize("trials", [2.5, "3"])
+@pytest.mark.parametrize("entry", _trials_entry_points())
+def test_non_integer_trials_raises_before_any_build(monkeypatch, entry, trials):
+    from gaugequad import partition
+
+    builds = []
+    build = partition._build_fine
+    monkeypatch.setattr(partition, "_build_fine", lambda *a: builds.append(a) or build(*a))
+    call = _trials_entry_points()[entry]
+    with pytest.raises(ValueError, match="trials"):
+        call(trials)
+    assert builds == []
+    call(2)  # the same call with an integer trials builds
+    assert builds
+
+
 def test_criterion2_is_deterministic():
     eps = 1e-2
     q = math.ceil(1.0 / math.sqrt(eps))
@@ -508,7 +536,6 @@ def test_criterion2_is_deterministic():
         gauge_for=lambda j: osc.truncated_gauge_family(j).at(0.5 * eps),
         alpha2=SIN1,
         eps=eps,
-        q=q,
         j_list=[q + 1, 2 * q],
         trials=2,
         seed=17,
@@ -528,7 +555,7 @@ def criterion1_at(eps):
 def criterion2_at(eps):
     return check_criterion2(
         paper_family(), gauge_for=lambda j: const_gauge(0.1),
-        alpha2=100.0, eps=eps, q=1, j_list=[2], trials=1, seed=0,
+        alpha2=100.0, eps=eps, j_list=[2], trials=1, seed=0,
     )
 
 
@@ -536,7 +563,7 @@ def criterion2_at(eps):
 @pytest.mark.parametrize("check", [criterion1_at, criterion2_at])
 def test_criteria_reject_nonfinite_or_nonpositive_eps(check, eps):
     # a nan band compares false, so every sum against alpha 100 would pass
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTolerance, match="eps must be finite and positive"):
         check(eps)
 
 
@@ -547,22 +574,11 @@ def test_criterion3_cases():
     assert not check_criterion3(SIN1, 0.8, 1e-3)
     assert check_criterion3(0.0, 0.0, 0.0)
     for bad in (-1e-9, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidTolerance, match="tol must be finite and >= 0"):
             check_criterion3(0.0, 0.0, bad)
 
 
 # ------------------------------------------------- per-point fallback
-
-def scalar_only(fn):
-    """fn restricted to scalars: array arguments raise TypeError."""
-
-    def scalar(x):
-        if np.ndim(x):
-            raise TypeError("scalar only")
-        return fn(x)
-
-    return scalar
-
 
 def build_with_gauge(wrap):
     p = cousin_partition(UNIT, Gauge(wrap(lambda x: 0.02 + x / 8.0)))

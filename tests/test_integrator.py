@@ -347,8 +347,20 @@ def test_gauge_integrate_validates_arguments():
         gauge_integrate(f, smooth_gauge_family(), Interval(0.0, 1.0), tol=0.0)
     with pytest.raises(InvalidTolerance):
         gauge_integrate(f, smooth_gauge_family(), Interval(0.0, 1.0), tol=-1e-3)
+    with pytest.raises(InvalidTolerance, match="tol must be finite and positive, got nan"):
+        gauge_integrate(f, smooth_gauge_family(), Interval(0.0, 1.0), tol=math.nan)
     with pytest.raises(ValueError):
         gauge_integrate(f, smooth_gauge_family(), Interval(0.0, 1.0), tol=1e-3, trials=1)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "family", [smooth_gauge_family, osc.loop_gauge_family], ids=["smooth", "loop"]
+)
+def test_family_rejects_a_bad_eps_with_invalid_tolerance(family, eps):
+    assert issubclass(InvalidTolerance, ValueError)
+    with pytest.raises(InvalidTolerance, match="eps must be finite and positive"):
+        family().at(eps)
 
 
 def test_gauge_integrate_depth_exceeded_first_level_raises(monkeypatch):

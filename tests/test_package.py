@@ -8,8 +8,8 @@ import gaugequad
 # The public names of the package, fixed: each module's __all__ adds to them.
 PUBLIC = [
     "CriterionReport", "DepthExceeded", "DomainError", "Gauge", "GaugeFamily",
-    "GaugeQuadError", "IndexBelowQ", "IndexSelector", "IntegralEstimate",
-    "IntegrandFamily", "Interval", "InvalidGauge", "InvalidTolerance",
+    "GaugeQuadError", "IndexSelector", "IntegralEstimate", "IntegrandFamily",
+    "Interval", "InvalidGauge", "InvalidIndex", "InvalidTolerance",
     "LengthMismatch", "NonFiniteValue", "RealFunction", "TaggedPartition",
     "check_criterion1", "check_criterion2", "check_criterion3",
     "cousin_partition", "gauge_integrate", "is_delta_fine",

@@ -12,6 +12,7 @@ from gaugequad import (
     IntegrandFamily,
     Interval,
     InvalidGauge,
+    InvalidIndex,
     LengthMismatch,
     NonFiniteValue,
     TaggedPartition,
@@ -23,7 +24,7 @@ from gaugequad import (
 )
 from gaugequad import criteria, partition
 
-from conftest import const_gauge
+from conftest import const_gauge, scalar_only
 
 
 # ---------------------------------------------------------------- types
@@ -111,7 +112,7 @@ SITES = {
         NonFiniteValue,
     ),
     "selector threshold": (
-        lambda fn: criteria._thresholds(IndexSelector(fn), FIVE.tags), ValueError
+        lambda fn: criteria._thresholds(IndexSelector(fn), FIVE.tags), InvalidIndex
     ),
 }
 
@@ -119,12 +120,17 @@ SITES = {
 @pytest.mark.parametrize(
     "site, bad, good",
     [("gauge", 0.0, 1.0), ("integrand", math.inf, 1.0), ("family member", math.nan, 1.0),
-     ("selector threshold", 0, 1)],
+     ("selector threshold", 0, 1), ("selector threshold", math.nan, 1),
+     ("selector threshold", math.inf, 1), ("selector threshold", 2.0**63, 1),
+     ("scalar-only selector threshold", math.nan, 1)],
 )
 def test_bad_value_raises_the_sites_error_at_the_first_bad_point(site, bad, good):
-    run, error = SITES[site]
+    run, error = SITES[site.removeprefix("scalar-only ")]
+    fn = lambda x: np.where(np.asarray(x) > 0.4, bad, good)  # noqa: E731
+    if site.startswith("scalar-only"):  # Python scalars, as a plain float function returns
+        fn = scalar_only(lambda x, _fn=fn: _fn(x).item())
     with pytest.raises(error, match=r" at x=0\.5$"):
-        run(lambda x: np.where(np.asarray(x) > 0.4, bad, good))
+        run(fn)
 
 
 @pytest.mark.parametrize("site", SITES)
