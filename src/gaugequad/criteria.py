@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidIndex, InvalidTolerance, LengthMismatch, NonFiniteValue
+from .errors import InvalidIndex, InvalidTolerance, LengthMismatch
 from .integrator import _block_sum, _check_accuracy, _overlapped, _partitions, riemann_sum
-from .partition import Gauge, Interval, TaggedPartition, _checked, _eval_points
+from .partition import Gauge, Interval, TaggedPartition, _eval_points
 
 __all__ = [
     "IntegrandFamily",
@@ -42,7 +42,9 @@ class IntegrandFamily:
 
     member_at(j, x) is f_j(x), with j a positive integer or an integer
     array aligned with x; for an array x it returns values of x's shape.
-    partial(member_at, j) is then the integrand f_j.
+    partial(member_at, j) is then the integrand f_j.  Like the other user
+    callables, member_at may be scalar-only: one that rejects arrays with
+    TypeError or ValueError is called once per point, as member_at(j, x).
     """
 
     member_at: Callable
@@ -85,14 +87,17 @@ def _positive_indices(indices, n: int | None = None) -> np.ndarray:
     """indices as an array, each a finite integer >= 1: the one index rule.
 
     Integral floats and Python ints beyond the int64 range pass; any other
-    value raises InvalidIndex.  Given n, indices must also be a 1-d array
-    of exactly n entries, and LengthMismatch is raised otherwise.
+    value, such as a string or a complex number, raises InvalidIndex.
+    Given n, indices must also be a 1-d array of exactly n entries, and
+    LengthMismatch is raised otherwise.
     """
     arr = np.asarray(indices)
     if n is not None and arr.shape != (n,):
         raise LengthMismatch(f"expected {n} indices, got shape {arr.shape}")
-    try:  # an object array holds Python ints beyond the int64 and uint64 range
-        arr = arr.astype(float) if arr.dtype == object else arr
+    try:  # an object array holds Python ints beyond the int64 and uint64 range; it is
+        # cast only if every entry is a real number, as astype(float) parses strings
+        if arr.dtype == object and all(isinstance(v, numbers.Real) for v in arr.flat):
+            arr = arr.astype(float)
         integral = arr.dtype.kind in "iu" or np.all(np.isfinite(arr) & (np.floor(arr) == arr))
     except (TypeError, ValueError, OverflowError):  # also strings and complex values
         integral = False
@@ -109,21 +114,16 @@ def variable_index_sum(
     """sum of f_{indices[i]}(tag_i) * |I_i| in cell order.
 
     Follows riemann_sum's block rule: one call member_at(indices[i:j],
-    tags[i:j]) evaluates each block of at most 2**16 cells, and the block
-    totals are added in cell order.  With all indices equal to j this
-    reduces bitwise to riemann_sum(partial(fam.member_at, j), p).  Called
-    by check_criterion1, it runs on a worker thread while the caller's
-    thread evaluates the next partition's gauge, so the family and the
-    gauge must not share unsynchronised mutable state.
+    tags[i:j]) evaluates each block of at most 2**16 cells, or a
+    scalar-only member_at is called once per cell, and the block totals
+    are added in cell order.  With all indices equal to j this reduces
+    bitwise to riemann_sum(partial(fam.member_at, j), p).  Called by
+    check_criterion1, it runs on a worker thread while the caller's thread
+    evaluates the next partition's gauge, so the family and the gauge must
+    not share unsynchronised mutable state.
     """
     idx = _positive_indices(indices, len(p))
-    tags = p.tags
-
-    def values(i: int, j: int) -> np.ndarray:
-        out = np.asarray(fam.member_at(idx[i:j], tags[i:j]), dtype=float)
-        return _checked(out, tags[i:j], np.isfinite, NonFiniteValue, "family member non-finite")
-
-    return _block_sum(values, p)
+    return _block_sum(fam.member_at, p, "family member non-finite", idx)
 
 
 def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:

@@ -40,8 +40,10 @@ __all__ = [
 ]
 
 #: A pointwise integrand: a callable returning finite floats on its domain.
-#: Array-capable callables are exploited for speed but not required; on an
-#: array the result must broadcast to the array's shape.
+#: Array-capable callables are exploited for speed but not required: one
+#: that rejects an array with TypeError or ValueError is called once per
+#: point, as are a gauge's delta, a selector's threshold and a family's
+#: member_at.  On an array the result must broadcast to the array's shape.
 RealFunction = Callable
 
 #: Refinement stops once a single partition would exceed this many cells.
@@ -126,21 +128,24 @@ def smooth_gauge_family() -> GaugeFamily:
 _BLOCK = 1 << 16
 
 
-def _block_sum(values: Callable[[int, int], np.ndarray], p: TaggedPartition) -> float:
-    """The one summation rule: sum of values(i, j) * |cell| in cell order.
+def _block_sum(f: Callable, p: TaggedPartition, what: str, *lead: np.ndarray) -> float:
+    """The one summation rule: sum of f(*lead, tag) * |cell| in cell order.
 
-    For each block of _BLOCK cells [i, j) in cell order, the block's lengths
-    are multiplied by values(i, j), the integrand on those cells, and
-    np.sum of the products is added to a Python float.  The integrand is
-    evaluated one block at a time, so its values never span the partition.
-    Finite terms whose products or sum leave the float range raise
-    NonFiniteValue.
+    For each block of _BLOCK cells [i, j) in cell order, f is evaluated by
+    `_eval_points` on tags[i:j], after the block [i:j] of each array in
+    lead, the block's lengths are multiplied by those values, and np.sum
+    of the products is added to a Python float.  So f sees one block at a
+    time, its values never span the partition, and a scalar-only f is
+    called once per cell.  A non-finite value raises NonFiniteValue naming
+    `what` and its tag; finite terms whose products or sum leave the float
+    range raise NonFiniteValue too.
     """
-    points, n = p.points, len(p)
+    tags, points, n = p.tags, p.points, len(p)
     total = 0.0
     for i in range(0, n, _BLOCK):
         j = min(i + _BLOCK, n)
-        v = values(i, j)  # outside the errstate below: the caller's applies
+        # outside the errstate below: the caller's applies
+        v = _eval_points(f, tags[i:j], np.isfinite, NonFiniteValue, what, lead=[a[i:j] for a in lead])
         w = points[i + 1 : j + 1] - points[i:j]
         with np.errstate(over="ignore", invalid="ignore"):
             w *= v
@@ -154,17 +159,14 @@ def riemann_sum(f: RealFunction, p: TaggedPartition) -> float:
     """(P) sum of f(tag) * |cell| over the partition.
 
     Follows the block rule of _block_sum: f is called on one block of at
-    most 2**16 tags at a time, and the block totals are added in cell order,
-    so the result does not depend on BLAS or its thread count.  Called by
-    gauge_integrate or a criterion checker, it runs on a worker thread
-    while the caller's thread evaluates the gauge for the next partition,
-    so f and the gauge must not share unsynchronised mutable state.
+    most 2**16 tags at a time, or once per tag if it is scalar-only, and
+    the block totals are added in cell order, so the result does not
+    depend on BLAS or its thread count.  Called by gauge_integrate or a
+    criterion checker, it runs on a worker thread while the caller's
+    thread evaluates the gauge for the next partition, so f and the gauge
+    must not share unsynchronised mutable state.
     """
-    tags = p.tags
-    return _block_sum(
-        lambda i, j: _eval_points(f, tags[i:j], np.isfinite, NonFiniteValue, "integrand non-finite"),
-        p,
-    )
+    return _block_sum(f, p, "integrand non-finite")
 
 
 def sum_defect(F: RealFunction, f: RealFunction, p: TaggedPartition) -> float:

@@ -68,30 +68,27 @@ class Interval:
         return self.b - self.a
 
 
-def _eval_points(fn: Callable, xs: np.ndarray, ok, error, what: str, dtype=float) -> np.ndarray:
-    """fn on every point of xs, as `_checked` accepts it.
+def _eval_points(
+    fn: Callable, xs: np.ndarray, ok, error, what: str, dtype=float, lead=()
+) -> np.ndarray:
+    """fn on every point of xs, as a writable array of xs's shape whose
+    values all pass ok: the one evaluation of every user callable.
 
-    One array call, coerced to dtype; a callable that rejects arrays with
-    TypeError or ValueError is called once per point.  The result must
-    broadcast to xs's shape.  dtype=None keeps the result's own dtype, so
-    ok sees the values before any cast, and an array of xs's shape comes
-    back without a copy.
+    One array call fn(*lead, xs), coerced to dtype, where lead holds
+    arrays aligned with xs, such as a family's indices; a callable that
+    rejects arrays with TypeError or ValueError is called once per point,
+    with the matching entry of each lead array before the point.  dtype=None
+    keeps the result's own dtype, so ok sees the values before any cast,
+    and an array of xs's shape comes back without a copy.  A result of
+    another shape must broadcast to xs's shape, and is then copied, not
+    returned as a read-only stride-0 view; any other shape raises
+    LengthMismatch naming both.  ok maps the values to a bool mask, and the
+    first point where it is false raises error(f"{what} at x=...").
     """
     try:
-        out = np.asarray(fn(xs), dtype=dtype)
+        out = np.asarray(fn(*lead, xs), dtype=dtype)
     except (TypeError, ValueError):
-        out = np.array([fn(float(x)) for x in xs], dtype=dtype)
-    return _checked(out, xs, ok, error, what)
-
-
-def _checked(out: np.ndarray, xs: np.ndarray, ok, error, what: str) -> np.ndarray:
-    """out as a writable array of xs's shape, every value passing ok.
-
-    A result of another shape must broadcast to xs's shape, and is then
-    copied, not returned as a read-only stride-0 view; any other shape
-    raises LengthMismatch naming both.  ok maps the values to a bool mask,
-    and the first point where it is false raises error(f"{what} at x=...").
-    """
+        out = np.array([fn(*at, float(x)) for *at, x in zip(*lead, xs)], dtype=dtype)
     if out.shape != xs.shape:
         try:
             out = np.broadcast_to(out, xs.shape).copy()

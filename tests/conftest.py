@@ -11,10 +11,10 @@ def const_gauge(c: float) -> Gauge:
 def scalar_only(fn):
     """fn restricted to scalars: array arguments raise TypeError."""
 
-    def scalar(x):
-        if np.ndim(x):
+    def scalar(*args):
+        if any(np.ndim(a) for a in args):
             raise TypeError("scalar only")
-        return fn(x)
+        return fn(*args)
 
     return scalar
 

@@ -44,6 +44,35 @@ def paper_family():
     return osc.integrand_family()
 
 
+# Negative controls: families on which a checker must report a failure.
+
+def bump_member(j, x):
+    """g_j = j on (0, 1/j] and 0 elsewhere: every integral is 1, the limit is 0."""
+    j = np.asarray(j, dtype=float)
+    return np.where((x > 0.0) & (x <= 1.0 / j), j, 0.0)
+
+
+def bump_family():
+    return IntegrandFamily(member_at=bump_member, domain=UNIT)
+
+
+def bump_selector():
+    """Threshold ceil(1/x) + 1, and 1 at 0: beyond it g_j(x) = 0."""
+
+    def threshold(x):
+        positive = x > 0.0
+        return np.where(positive, np.ceil(1.0 / np.where(positive, x, 1.0)) + 1.0, 1.0)
+
+    return IndexSelector(threshold)
+
+
+def alternating_family():
+    """f_j = (-1)**j: the fixed-index sums never settle."""
+    return IntegrandFamily(
+        member_at=lambda j, x: np.full(np.shape(x), (-1.0) ** j), domain=UNIT
+    )
+
+
 def small_partition(seed=3):
     return random_delta_fine_partition(
         UNIT, Gauge(lambda x: 0.02 + x / 8.0), seed=seed
@@ -115,6 +144,10 @@ def test_variable_index_sum_validates_lengths_and_values():
     for bad in (2.5, np.nan, np.inf, 10**400, "3", 1j):
         with pytest.raises(InvalidIndex, match="positive integers"):
             variable_index_sum(fam, np.full(len(p), bad), p)
+    # beside an int past uint64, the list becomes an object array
+    for bad in (["3", 10**20], [1j, 10**20]):
+        with pytest.raises(InvalidIndex, match="positive integers"):
+            variable_index_sum(fam, bad + [1] * (len(p) - 2), p)
     assert variable_index_sum(fam, np.full(len(p), 5.0), p) == (
         variable_index_sum(fam, np.full(len(p), 5), p)
     )
@@ -567,6 +600,49 @@ def test_criteria_reject_nonfinite_or_nonpositive_eps(check, eps):
         check(eps)
 
 
+# ------------------------------------------------------ negative controls
+
+def test_bump_family_passes_criteria_1_and_2_but_fails_criterion_3():
+    # the limit 0 and the integrals' limit 1 do not interchange; dominated
+    # convergence has no dominating function here and cannot see it
+    eps = 0.05
+    rep1 = check_criterion1(
+        bump_family(), smooth_gauge_family(), bump_selector(),
+        alpha1=0.0, eps=eps, trials=3, seed=0,
+    )
+    assert (rep1.passed, rep1.violations, rep1.trials) == (True, 0, 3)
+    assert rep1.worst_deviation == 0.0  # every admissible index gives 0
+    rep2 = check_criterion2(
+        bump_family(),
+        gauge_for=lambda j: const_gauge(eps / (8 * j)),
+        alpha2=1.0,
+        eps=eps,
+        j_list=[5, 10, 40],
+        trials=2,
+        seed=0,
+    )
+    assert (rep2.passed, rep2.violations, rep2.trials) == (True, 0, 9)
+    # only the cells at 0 and at 1/j miss, each by under delta: the sum is
+    # within 2 j delta = eps/4 of 1
+    assert 0.0 < rep2.worst_deviation < eps / 4
+    assert not check_criterion3(0.0, 1.0, 2 * eps)
+
+
+@pytest.mark.parametrize("alpha2, violations", [(-1.0, 3), (0.0, 6), (1.0, 3)])
+def test_alternating_family_fails_criterion2_for_every_alpha(alpha2, violations):
+    rep = check_criterion2(
+        alternating_family(),
+        gauge_for=lambda j: const_gauge(0.1),
+        alpha2=alpha2,
+        eps=0.25,
+        j_list=[2, 3],
+        trials=2,
+        seed=0,
+    )
+    assert (rep.passed, rep.violations, rep.trials) == (False, violations, 6)
+    assert rep.worst_deviation == pytest.approx(1.0 + abs(alpha2), abs=1e-12)
+
+
 # ------------------------------------------------------- check_criterion3
 
 def test_criterion3_cases():
@@ -593,8 +669,14 @@ def check_with_threshold(wrap):
     )
 
 
+def sum_with_member(wrap):
+    p = cousin_partition(UNIT, osc.loop_gauge_family().at(1e-2))
+    idx = np.random.default_rng(5).integers(1, 40, size=len(p))
+    return variable_index_sum(IntegrandFamily(wrap(osc.f_j), UNIT), idx, p)
+
+
 @pytest.mark.parametrize(
-    "run", [build_with_gauge, check_with_threshold]
+    "run", [build_with_gauge, check_with_threshold, sum_with_member]
 )
 def test_scalar_only_callable_matches_vectorized_bitwise(run):
     assert run(scalar_only) == run(lambda fn: fn)

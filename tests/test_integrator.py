@@ -119,6 +119,13 @@ def test_sum_defect_zero_functions():
     assert sum_defect(zero, zero, HALVES) == 0.0
 
 
+@pytest.mark.parametrize("end", [0.0, 1.0])
+def test_sum_defect_rejects_a_primitive_non_finite_at_a_domain_end(end):
+    F = lambda x: math.inf if x == end else x  # noqa: E731
+    with pytest.raises(NonFiniteValue, match="primitive non-finite at a domain endpoint"):
+        sum_defect(F, lambda x: np.ones_like(x), HALVES)
+
+
 # ------------------------------------------------------------ _partitions
 
 DRIVER_GAUGE = Gauge(lambda x: 0.02 + np.asarray(x, dtype=float) / 8.0)

@@ -646,6 +646,31 @@ def test_headline_integral_of_f():
     assert est.value == pytest.approx(SIN1, abs=1e-2)
 
 
+
+def integral_from_root(n):
+    """Closed form of the integral of f over [r_n, 1]: F(r_n) = (-1)**n r_n**2."""
+    return SIN1 - (-1) ** n * loop_root(n) ** 2
+
+
+def test_quad_loop_by_loop_matches_the_closed_form_from_each_root():
+    # an oracle that shares no code with the gauge machinery: scipy's
+    # adaptive quadrature on one smooth loop [r_n, r_(n-1)] at a time
+    from scipy.integrate import quad
+
+    roots = [1.0, *(loop_root(n) for n in range(1001))]
+    total = 0.0
+    for n in range(1001):
+        total += quad(osc.f, roots[n + 1], roots[n], epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        assert total == pytest.approx(integral_from_root(n), abs=1e-13), n
+
+
+@pytest.mark.parametrize("n", [3, 30, 300])
+def test_gauge_integral_from_a_root_matches_the_closed_form(n):
+    tol = 1e-3
+    est = gauge_integrate(osc.f, osc.loop_gauge_family(), Interval(loop_root(n), 1.0), tol)
+    assert est.converged
+    assert est.value == pytest.approx(integral_from_root(n), abs=tol)
+
 # ---------------------------------------------------------------- figures
 
 def test_figure_samples_shapes_and_values():
