@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +47,9 @@ _FIRST = np.array(
     ],
     dtype=np.uint8,
 )
+
+#: Trial orders are drawn this many cells at a time (see `_trial_orders`).
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -220,13 +224,20 @@ def _build_fine(
     finite doubles with gradual underflow a - b > 0 iff a > b, so this is
     the test u < mid < v on every split.
 
-    Draws and tests.  The seeded split fraction is rng.random(n) * 0.5 +
-    0.25, formed in place, which is how Generator.uniform(0.25, 0.75, n)
-    forms it from the same doubles, so the values and the generator state
-    are those of that call; then M = U + span * w.  Once the end tests
-    have read span, its buffer holds max(M - U, V - M), and w is dropped
-    before the gauge runs.  The mid test max(M - U, V - M) < dM equals
-    (M - U < dM) & (V - M < dM), as no operand is nan.
+    Draws and tests.  A seeded build's draws run on `pool`'s one helper
+    thread, which runs only these draws and the final tag sort, never the
+    gauge.  A level's split fractions r are drawn by rng.random(out=M)
+    straight into its block, queued as soon as the block is allocated, so
+    they are drawn while this thread gathers the pending cells into it.
+    Once they are in, the helper draws the level's trial orders (see
+    `_trial_orders`) while this thread forms M = (r * 0.5 + 0.25) * span + U
+    in place, runs the tests and calls the gauge.  Generator.uniform(0.25,
+    0.75, n) forms its values from the same doubles r as r * 0.5 + 0.25,
+    so M is U + span * uniform(0.25, 0.75, n).  Each draw is awaited before
+    the next is queued, so the generator makes the sequential build's draws
+    in the same order, and this thread never touches it.  The mid test
+    (M - U < dM) & (V - M < dM) reuses span's buffer for both gaps, and the
+    trial orders are ORed into the code after it.
 
     Compaction.  The accept mask is turned into index arrays once per
     level, the accepted positions ti and the pending ones, and every gather
@@ -248,28 +259,46 @@ def _build_fine(
     division point or the split point of its own cell, the division points
     strictly increase so at most one is zero, and a split-point tag of zero
     lies strictly inside its cell, which leaves no division point at zero.
-    The levels run in `_levels`, so the last level's arrays are gone before
-    these sorts and concatenations.
+    The helper sorts the tags while this thread concatenates and sorts the
+    left ends.  The levels run in
+    `_levels`, so the last level's arrays are gone before these sorts and
+    concatenations, and the `with` block joins the helper before the build
+    returns or raises.
     """
-    acc_t, acc_u = _levels(domain, g, rng)
-    tags = np.concatenate(acc_t)
-    del acc_t
-    tags.sort()
-    points = np.empty(tags.size + 1)
-    np.concatenate(acc_u, out=points[:-1])
-    del acc_u
-    points[:-1].sort()
-    points[-1] = domain.b
+    with ThreadPoolExecutor(1, thread_name_prefix="gaugequad-build") as pool:
+        acc_t, acc_u = _levels(domain, g, rng, pool)
+        tags = np.concatenate(acc_t)
+        del acc_t
+        tags_sorted = pool.submit(tags.sort)
+        points = np.empty(tags.size + 1)
+        np.concatenate(acc_u, out=points[:-1])
+        del acc_u
+        points[:-1].sort()
+        points[-1] = domain.b
+        tags_sorted.result()
     return tags, points
 
 
+def _trial_orders(rng: np.random.Generator, n: int) -> np.ndarray:
+    """rng.integers(0, 6, n) shifted left 3, as uint8: the values and the
+    generator state of that one call, drawn in `_DRAW_BLOCK`-cell blocks so
+    that no frontier-length int64 array exists."""
+    out = np.empty(n, dtype=np.uint8)
+    for i in range(0, n, _DRAW_BLOCK):
+        block = rng.integers(0, 6, min(_DRAW_BLOCK, n - i))
+        np.left_shift(block, 3, out=out[i:i + _DRAW_BLOCK], casting="unsafe")
+    return out
+
+
 def _levels(
-    domain: Interval, g: Gauge, rng: np.random.Generator | None
+    domain: Interval, g: Gauge, rng: np.random.Generator | None, pool: ThreadPoolExecutor
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """`_build_fine`'s level loop: each level's accepted tags and left ends."""
     B = np.empty(3)
     B[0], B[1] = domain.a, domain.b
     n, oV, oM = 1, 1, 2
+    if rng is not None:
+        fractions = pool.submit(rng.random, out=B[2:])
     dU = g.eval_many(B[:1])
     dV = g.eval_many(B[1:2])
     acc_t: list[np.ndarray] = []
@@ -284,26 +313,27 @@ def _levels(
                 "gauge is unrepresentable there"
             )
         if rng is None:
-            w = None
             np.add(U, V, out=M)
             M *= 0.5
-            code = np.zeros(n, dtype=np.uint8)
         else:
-            w = rng.random(n)
-            w *= 0.5
-            w += 0.25
-            w *= span
-            np.add(U, w, out=M)
-            code = rng.integers(0, 6, n).astype(np.uint8)
-            code <<= 3
-        code |= (span < dU).view(np.uint8)
+            fractions.result()
+            orders = pool.submit(_trial_orders, rng, n)
+            M *= 0.5
+            M += 0.25
+            M *= span
+            M += U
+        code = (span < dU).view(np.uint8)
         code |= (span < dV).view(np.uint8) << 2
-        np.subtract(M, U, out=span)
-        np.maximum(span, np.subtract(V, M, out=w), out=span)
-        del w
         dM = g.eval_many(M)
-        code |= (span < dM).view(np.uint8) << 1
+        np.subtract(M, U, out=span)
+        mid = span < dM
+        np.subtract(V, M, out=span)
+        mid &= span < dM
         del span
+        code |= mid.view(np.uint8) << 1
+        del mid
+        if rng is not None:
+            code |= orders.result()
         first = _FIRST.take(code)
         del code
         taken = first < 3
@@ -332,6 +362,8 @@ def _levels(
         del dM
         dU, dV = D[:2].ravel(), D[1:].ravel()
         C = np.empty((5, m))
+        if rng is not None:
+            fractions = pool.submit(rng.random, out=C[3:].ravel())
         U.take(pi, out=C[0], mode="clip")
         M.take(pi, out=C[1], mode="clip")
         V.take(pi, out=C[2], mode="clip")
@@ -364,6 +396,11 @@ def random_delta_fine_partition(
     is deterministic for a fixed seed, which may be an int or a sequence of
     ints such as (seed, level, trial).  An entry that is not a non-negative
     integer raises ValueError before the build starts.
+
+    The build's draws and its final tag sort run on one helper thread
+    while this thread gathers cells and evaluates the gauge; the gauge is
+    only ever called from the calling thread, and the helper is joined
+    before this returns or raises.
     """
     _check_seed(seed)
     return TaggedPartition(*_build_fine(domain, g, np.random.default_rng(seed)))

@@ -121,6 +121,21 @@ def test_memory_error_on_the_build_thread_exits_not_converged(capsys, monkeypatc
     )
 
 
+def test_memory_error_on_the_build_helper_exits_not_converged(capsys, monkeypatch):
+    threads = []
+
+    def trial_orders(rng, n):
+        threads.append(threading.current_thread().name)
+        raise MemoryError(_NO_MEMORY)
+
+    monkeypatch.setattr(partition, "_trial_orders", trial_orders)
+    assert run(capsys, ["integrate", "poly-3", "--tol", "1e-3"]) == (
+        2, "", f"error: out of memory: {_NO_MEMORY}\n"
+    )
+    assert threads and all(name.startswith("gaugequad-build") for name in threads)
+    assert not [t for t in threading.enumerate() if t.name.startswith("gaugequad-build")]
+
+
 def test_memory_error_on_the_sum_worker_exits_not_converged(capsys, monkeypatch):
     threads = []
 

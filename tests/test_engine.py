@@ -9,6 +9,8 @@ for both rules, so seeded results and golden CLI output stay unchanged.
 """
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -238,24 +240,68 @@ def test_partitions_are_fine_abutting_ordered_and_seed_deterministic(
             assert getattr(p, arr).tobytes() == getattr(q, arr).tobytes()
 
 
+def test_builds_on_four_threads_under_a_short_switch_interval_match_the_reference():
+    # four seeded builds at once, each with its own draw helper: eight
+    # threads switching every microsecond must not reorder a generator's
+    # draws or let a level read a split fraction before it is drawn
+    cases = [
+        (g, seed)
+        for g in (osc.loop_gauge_family().at(3e-3), const_gauge(3e-6))
+        for seed in (0, (7, 2, 3))
+    ]
+    want = [reference_build_fine(UNIT, g, partition._MAX_DEPTH, rng(s)) for g, s in cases]
+    got = [[] for _ in cases]
+
+    def builds(i):
+        g, seed = cases[i]
+        for _ in range(3):
+            got[i].append(_build_fine(UNIT, g, rng(seed)))
+
+    threads = [threading.Thread(target=builds, args=(i,), daemon=True) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for old, runs in zip(want, got):
+        assert len(runs) == 3
+        for tags, points in runs:
+            for new, ref in zip((tags, points[:-1], points[1:]), old):
+                assert new.tobytes() == ref.tobytes()
+
+
 # ------------------------------------------------- the generator's draws
 
-# The engine forms each level's split fractions as rng.random(n) * 0.5 +
-# 0.25 in place and its trial orders as rng.integers(0, 6, n); the seeded
-# partitions above equal the reference's only while these match the draws
-# the reference makes.
+# A seeded build draws each level's split fractions with rng.random(out=M)
+# and forms M = (r * 0.5 + 0.25) * span + U in place, and draws its trial
+# orders in 2**16-cell blocks; the seeded partitions above equal the
+# reference's only while these match the draws the reference makes.
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, 65537])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, 65535, 65536, 65537, 3 * 65536 + 5])
 @pytest.mark.parametrize("seed", [0, 1, (7, 2, 3)])
 def test_in_place_split_fractions_equal_uniform_draws_bytewise(seed, n):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    cells = np.random.default_rng(n)
+    U = cells.uniform(-1.0, 1.0, n)
+    span = cells.uniform(1e-9, 1.0, n)
     for _ in range(3):
-        w = ours.random(n)
-        w *= 0.5
-        w += 0.25
-        assert w.tobytes() == theirs.uniform(0.25, 0.75, n).tobytes()
-        assert ours.integers(0, 6, n).tobytes() == theirs.integers(0, 6, n).tobytes()
+        M = np.empty(n)
+        ours.random(out=M)
+        M *= 0.5
+        M += 0.25
+        M *= span
+        M += U
+        assert M.tobytes() == (U + span * theirs.uniform(0.25, 0.75, n)).tobytes()
+        orders = partition._trial_orders(ours, n)
+        assert orders.dtype == np.uint8
+        assert np.array_equal(orders, theirs.integers(0, 6, n) << 3)
+    assert ours.bit_generator.state == theirs.bit_generator.state
     assert ours.random() == theirs.random()
 
 
@@ -273,9 +319,37 @@ def test_trial_order_draws_are_unchanged():
 # ------------------------------------------------------------ branches
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_invalid_gauge_raises_during_build(seed):
+def test_invalid_gauge_raises_during_build(seed, monkeypatch):
     with pytest.raises(InvalidGauge):
         build(UNIT, Gauge(lambda x: x - 0.5), seed)
+
+    # valid on a, b and levels 0 to 3 and invalid on level 4's split points,
+    # while the helper is held in level 4's trial-order draw until it raises
+    calls, draws, held, raised = [], [], [], threading.Event()
+    trial_orders = partition._trial_orders
+
+    def held_orders(rng, n):
+        draws.append(threading.get_ident())
+        if len(draws) == 5:
+            held.append(raised.wait(timeout=30))
+        return trial_orders(rng, n)
+
+    def delta(x):
+        calls.append(threading.get_ident())
+        if len(calls) == 7:
+            raised.set()
+            return -np.ones_like(x)
+        return np.full_like(x, 1e-3)
+
+    monkeypatch.setattr(partition, "_trial_orders", held_orders)
+    before = threading.active_count()
+    with pytest.raises(InvalidGauge):
+        build(UNIT, Gauge(delta), seed)
+    assert threading.active_count() == before
+    assert set(calls) == {threading.get_ident()} and len(calls) == 7
+    if seed is not None:
+        assert held == [True]
+        assert threading.get_ident() not in draws
 
 
 def depth_messages(domain, g, seed):
@@ -345,13 +419,16 @@ def traced_peak(build):
 
 @pytest.mark.parametrize(
     "gauge, seed, bound",
-    # 8,192, 9,536 and 88,970 cells, measured at 73.7, 31.0 and 24.1 B a cell
+    # 8,192, 9,536, 88,970 and 960,574 cells, measured at 73.9, 32.2-34.2
+    # (as the helper's draws fall), 24.2 and 27.5 B a cell; only the last
+    # has levels past one 2**16-cell draw block
     [
         (smooth_gauge_family().at(1e-6), None, 80),
         (smooth_gauge_family().at(1e-6), [0, 0, 1], 36),
         (osc.loop_gauge_family().at(3e-3), [0, 0, 1], 28),
+        (smooth_gauge_family().at(1e-9), [0, 0, 1], 30),
     ],
-    ids=["cousin-smooth", "seeded-smooth", "seeded-loop"],
+    ids=["cousin-smooth", "seeded-smooth", "seeded-loop", "seeded-smooth-bench"],
 )
 def test_build_peak_bytes_per_cell(gauge, seed, bound):
     # holds only if the engine frees each frontier temporary at its last use
