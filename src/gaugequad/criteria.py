@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidIndex, InvalidTolerance, LengthMismatch
-from .integrator import _block_sum, _check_accuracy, _overlapped, _partitions, riemann_sum
+from .integrator import _block_sum, _check_accuracy, _sample, riemann_sum
 from .partition import Gauge, Interval, TaggedPartition, _eval_points
 
 __all__ = [
@@ -174,8 +174,8 @@ def check_criterion1(
         idx = _thresholds(sel, p.tags) + rng.integers(1, _INDEX_HEADROOM + 1, size=len(p))
         return abs(alpha1 - variable_index_sum(fam, idx, p))
 
-    parts = _partitions(fam.domain, gf.at(eps), [seed, 1], trials, False)
-    return _report(alpha1, eps, eps, _overlapped(deviation, parts))
+    devs = _sample(fam.domain, [(gf.at(eps), [seed, 1])], trials, False, deviation)
+    return _report(alpha1, eps, eps, devs)
 
 
 def check_criterion2(
@@ -208,14 +208,14 @@ def check_criterion2(
         raise ValueError("integer trials >= 1 and a non-empty j_list required")
     _positive_indices(j_list, len(j_list))
 
-    def stream():  # every j's partitions as one stream, so the overlap never drains
-        for jn, j in enumerate(map(int, j_list)):
-            for p in _partitions(fam.domain, gauge_for(j), [seed, 3, jn], trials, True):
-                yield partial(fam.member_at, j), p
-                del p  # not held while the next partition builds
+    js = [int(j) for j in j_list]
 
-    devs = _overlapped(lambda _, fj_p: abs(alpha2 - riemann_sum(*fj_p)), stream())
-    return _report(alpha2, eps, 2.0 * eps, devs)
+    def deviation(i: int, p: TaggedPartition) -> float:
+        return abs(alpha2 - riemann_sum(partial(fam.member_at, js[i // (trials + 1)]), p))
+
+    # a generator, so gauge_for(j) runs only once the previous j's builds are done
+    runs = ((gauge_for(j), [seed, 3, jn]) for jn, j in enumerate(js))
+    return _report(alpha2, eps, 2.0 * eps, _sample(fam.domain, runs, trials, True, deviation))
 
 
 def check_criterion3(alpha1: float, alpha2: float, tol: float) -> bool:

@@ -13,7 +13,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -182,48 +182,44 @@ def sum_defect(F: RealFunction, f: RealFunction, p: TaggedPartition) -> float:
     return abs(increment - riemann_sum(f, p))
 
 
-def _partitions(
-    domain: Interval, gauge: Gauge, seed_prefix: list[int], trials: int, cousin: bool
-) -> Iterator[TaggedPartition]:
-    """The sampled partitions of one gauge, built one at a time.
+def _sample(domain: Interval, runs: Iterable, trials: int, cousin: bool, total: Callable) -> list:
+    """[total(i, p) for every sampled partition p, i counting from 0].
 
-    Yields the cousin partition first when `cousin` is true, then `trials`
-    seeded partitions, trial t drawn from the seed [*seed_prefix, t].  A
-    seed entry that is not a non-negative integer raises ValueError before
-    the first build.  Both builders are looked up as this module's globals
-    at every call, so a rebinding of either name reaches every build.
-    """
-    _check_seed(seed_prefix)
-    if cousin:
-        yield cousin_partition(domain, gauge)
-    for t in range(trials):
-        yield _random_partition(domain, gauge, [*seed_prefix, t])
-
-
-def _overlapped(total: Callable, parts: Iterator) -> list:
-    """[total(i, p) for i, p in enumerate(parts)], each total overlapping
-    the build of the next partition.
+    runs is read lazily, one (gauge, seed_prefix) pair at a time.  Each run
+    contributes its gauge's cousin partition first when `cousin` is true,
+    then `trials` seeded partitions, trial t drawn from the seed
+    [*seed_prefix, t]; i counts on across runs.  A seed entry that is not a
+    non-negative integer raises ValueError before that run's first build.
+    Both builders are looked up as this module's globals at every build, so
+    a rebinding of either name reaches every build.
 
     total(i, p_k) runs on a one-worker executor while this thread builds
     p_{k+1}, and is awaited before total(i + 1, p_{k+1}) is submitted, so
     at most one total is in flight, on the same worker thread, and no thread
-    outlives the call.  This frame drops p_k before it asks for p_{k+1}, so
-    a partition is freed as soon as it is summed.  Each total runs in a copy
-    of the caller's context, so the caller's np.errstate reaches the
-    integrand.  Errors surface in sequence order: if total k fails and
-    building p_{k+1} fails too, total k's error is raised, as if p_{k+1}
-    had never been built.
+    outlives the call.  Only hand_over's frame holds p_k on this thread,
+    and it returns once the total is submitted, so this thread drops p_k
+    before it starts p_{k+1}: a partition is freed as soon as it is
+    summed.  Each total runs in a copy of the caller's context, so the
+    caller's np.errstate reaches the integrand.  Errors surface in
+    sequence order: if total k fails and building p_{k+1} fails too, total
+    k's error is raised, as if p_{k+1} had never been built.
     """
     results: list = []
     pending: list = []  # the future of the total in flight, if any
     with ThreadPoolExecutor(1, thread_name_prefix="gaugequad-sum") as pool:
+
+        def hand_over(p: TaggedPartition) -> None:
+            if pending:
+                results.append(pending.pop().result())
+            pending.append(pool.submit(contextvars.copy_context().run, total, len(results), p))
+
         try:
-            for p in parts:
-                if pending:
-                    results.append(pending.pop().result())
-                # i is len(results): enumerate's reused tuple would keep p_k alive
-                pending.append(pool.submit(contextvars.copy_context().run, total, len(results), p))
-                del p
+            for gauge, prefix in runs:
+                _check_seed(prefix)
+                if cousin:
+                    hand_over(cousin_partition(domain, gauge))
+                for t in range(trials):
+                    hand_over(_random_partition(domain, gauge, [*prefix, t]))
         finally:
             # the last total, after the last build or a failed one; its own
             # error replaces a build error
@@ -275,8 +271,8 @@ def gauge_integrate(
     eps = tol
     for level in range(_MAX_LEVELS):
         try:
-            parts = _partitions(domain, gf.at(eps), [seed, level], trials, True)
-            sized = _overlapped(lambda i, p: (len(p), riemann_sum(f, p)), parts)
+            runs = [(gf.at(eps), [seed, level])]
+            sized = _sample(domain, runs, trials, True, lambda i, p: (len(p), riemann_sum(f, p)))
         except DepthExceeded:
             if last is None:
                 raise

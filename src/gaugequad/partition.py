@@ -169,10 +169,6 @@ class TaggedPartition:
     def rights(self) -> np.ndarray:
         return self.points[1:]
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.rights - self.lefts
-
     def __len__(self) -> int:
         return self.tags.size
 

@@ -111,6 +111,7 @@ def test_depth_exceeded_exits_not_converged(capsys, monkeypatch):
 _NO_MEMORY = "Unable to allocate 384. MiB for an array with shape (50331648,) and data type float64"
 
 
+@pytest.mark.threads
 def test_memory_error_on_the_build_thread_exits_not_converged(capsys, monkeypatch):
     def build(*args):
         raise MemoryError(_NO_MEMORY)
@@ -121,6 +122,7 @@ def test_memory_error_on_the_build_thread_exits_not_converged(capsys, monkeypatc
     )
 
 
+@pytest.mark.threads
 def test_memory_error_on_the_build_helper_exits_not_converged(capsys, monkeypatch):
     threads = []
 
@@ -136,6 +138,7 @@ def test_memory_error_on_the_build_helper_exits_not_converged(capsys, monkeypatc
     assert not [t for t in threading.enumerate() if t.name.startswith("gaugequad-build")]
 
 
+@pytest.mark.threads
 def test_memory_error_on_the_sum_worker_exits_not_converged(capsys, monkeypatch):
     threads = []
 
@@ -405,6 +408,7 @@ def test_csv_format_integrate(capsys):
 
 # ----------------------------------------------------------- BLAS threads
 
+@pytest.mark.threads
 def test_printed_sums_do_not_depend_on_blas_threads():
     # every Riemann sum follows the fixed block rule, so no digit depends on
     # how many threads a BLAS would use

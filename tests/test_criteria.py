@@ -258,6 +258,7 @@ def test_criterion1_worst_deviation_follows_every_drawn_index():
     assert rep.worst_deviation == max(devs)
 
 
+@pytest.mark.threads
 def test_thresholds_are_the_ceiling_of_one_over_each_tag_bitwise():
     p = random_delta_fine_partition(UNIT, osc.loop_gauge_family().at(1e-2), [0, 1, 0])
     t = p.tags
@@ -268,6 +269,7 @@ def test_thresholds_are_the_ceiling_of_one_over_each_tag_bitwise():
         assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.threads
 def test_thresholds_are_checked_in_the_selectors_dtype_then_cast_once():
     tags = np.linspace(0.1, 0.9, 5)
     q = np.arange(1, 6, dtype=np.int64)
@@ -450,10 +452,12 @@ def _held_per_build(monkeypatch, run):
     return held
 
 
+@pytest.mark.threads
 def test_criterion2_holds_one_finished_partition_at_a_time(monkeypatch):
     assert max(_held_per_build(monkeypatch, _criterion2_builds)) <= 1
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize(
     "run", [_criterion1_builds, _gauge_integrate_builds], ids=["criterion1", "gauge_integrate"]
 )
@@ -461,6 +465,7 @@ def test_sampling_loop_holds_one_finished_partition_at_a_time(monkeypatch, run):
     assert max(_held_per_build(monkeypatch, run)) <= 1
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize(
     "run",
     [_criterion1_builds, _criterion2_builds, _gauge_integrate_builds],
@@ -641,6 +646,41 @@ def test_alternating_family_fails_criterion2_for_every_alpha(alpha2, violations)
     )
     assert (rep.passed, rep.violations, rep.trials) == (False, violations, 6)
     assert rep.worst_deviation == pytest.approx(1.0 + abs(alpha2), abs=1e-12)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_criterion2_sums_partition_i_with_the_j_it_was_built_for(trials):
+    # partition i is built under gauge_for(j_list[i // (trials + 1)]), so its
+    # cell count tells which j it belongs to; the alternating control above
+    # cannot see a j taken as j_list[i % len(j_list)], whose (-1)**j values
+    # come out as the same multiset
+    seen = []
+
+    def member_at(j, x):
+        seen.append((j, len(x)))
+        return np.full(np.shape(x), float(j))
+
+    j_list = [2, 8, 32]
+    rep = check_criterion2(
+        IntegrandFamily(member_at=member_at, domain=UNIT),
+        gauge_for=lambda j: const_gauge(0.5 / j),
+        alpha2=0.0,
+        eps=1e-2,
+        j_list=j_list,
+        trials=trials,
+        seed=4,
+    )
+    want = []
+    for jn, j in enumerate(j_list):
+        g = const_gauge(0.5 / j)
+        cells = [len(cousin_partition(UNIT, g))]
+        cells += [len(random_delta_fine_partition(UNIT, g, [4, 3, jn, t])) for t in range(trials)]
+        want += [(j, n) for n in cells]
+    assert seen == want
+    by_j = [{n for jj, n in want if jj == j} for j in j_list]
+    assert sum(map(len, by_j)) == len(set().union(*by_j))  # no count is shared by two j
+    assert rep.trials == len(j_list) * (trials + 1)
+    assert rep.worst_deviation == pytest.approx(32.0, rel=1e-12)
 
 
 # ------------------------------------------------------- check_criterion3

@@ -20,7 +20,7 @@ from gaugequad import (
     sum_defect,
 )
 from gaugequad import oscillator as osc
-from gaugequad.integrator import _partitions
+from gaugequad.integrator import _sample
 
 from conftest import BLOCK_EDGES, block_sum_reference, const_gauge, partition_of_size
 
@@ -126,7 +126,7 @@ def test_sum_defect_rejects_a_primitive_non_finite_at_a_domain_end(end):
         sum_defect(F, lambda x: np.ones_like(x), HALVES)
 
 
-# ------------------------------------------------------------ _partitions
+# ---------------------------------------------------------------- _sample
 
 DRIVER_GAUGE = Gauge(lambda x: 0.02 + np.asarray(x, dtype=float) / 8.0)
 
@@ -135,10 +135,32 @@ def _same_bytes(p, q):
     return p.tags.tobytes() == q.tags.tobytes() and p.points.tobytes() == q.points.tobytes()
 
 
-def test_partitions_match_direct_builds_cousin_first():
+def _stand_in_builders(monkeypatch):
+    """Cheap stand-ins for both builders, each returning its own log entry:
+    ("cousin", gauge) or (gauge, *seed).  Returns the log of builds."""
+    from gaugequad import integrator
+
+    builds = []
+
+    def cousin(domain, g):
+        builds.append(("cousin", g))
+        return builds[-1]
+
+    def seeded(domain, g, seed):
+        time.sleep(0)
+        builds.append((g, *seed))
+        return builds[-1]
+
+    # _sample looks its builders up at every build, so this rebinding reaches it
+    monkeypatch.setattr(integrator, "cousin_partition", cousin)
+    monkeypatch.setattr(integrator, "_random_partition", seeded)
+    return builds
+
+
+def test_sample_builds_the_cousin_first_then_the_trials_bytewise():
     from gaugequad import cousin_partition, random_delta_fine_partition
 
-    got = list(_partitions(UNIT, DRIVER_GAUGE, [7, 3], 3, True))
+    got = _sample(UNIT, [(DRIVER_GAUGE, [7, 3])], 3, True, lambda i, p: p)
     want = [cousin_partition(UNIT, DRIVER_GAUGE)] + [
         random_delta_fine_partition(UNIT, DRIVER_GAUGE, [7, 3, t]) for t in range(3)
     ]
@@ -146,16 +168,16 @@ def test_partitions_match_direct_builds_cousin_first():
     assert all(_same_bytes(p, q) for p, q in zip(got, want))
 
 
-def test_partitions_without_cousin_yields_only_the_trials():
+def test_sample_without_cousin_sums_only_the_trials():
     from gaugequad import random_delta_fine_partition
 
-    got = list(_partitions(UNIT, DRIVER_GAUGE, [5], 4, False))
+    got = _sample(UNIT, [(DRIVER_GAUGE, [5])], 4, False, lambda i, p: p)
     assert len(got) == 4
     for t, p in enumerate(got):
         assert _same_bytes(p, random_delta_fine_partition(UNIT, DRIVER_GAUGE, [5, t]))
 
 
-def test_partitions_propagates_depth_exceeded(monkeypatch):
+def test_sample_propagates_depth_exceeded(monkeypatch):
     from gaugequad import integrator
 
     build = integrator._random_partition
@@ -165,16 +187,40 @@ def test_partitions_propagates_depth_exceeded(monkeypatch):
             raise DepthExceeded("trial 1 too deep")
         return build(domain, g, seed)
 
-    # the driver looks its builders up at call time, so this rebinding reaches it
     monkeypatch.setattr(integrator, "_random_partition", build_then_fail)
-    parts = _partitions(UNIT, DRIVER_GAUGE, [0], 3, True)
-    next(parts), next(parts)
+    summed = []
     with pytest.raises(DepthExceeded, match="trial 1"):
-        next(parts)
+        _sample(UNIT, [(DRIVER_GAUGE, [0])], 3, True, lambda i, p: summed.append(i))
+    assert summed == [0, 1]  # the cousin and trial 0
+
+
+@pytest.mark.threads
+def test_sample_reads_runs_lazily_in_order_and_counts_i_across_them(monkeypatch):
+    builds = _stand_in_builders(monkeypatch)
+    read = []
+
+    def runs():
+        for n, name in enumerate("abc"):
+            read.append((name, len(builds)))  # the builds done when this run is read
+            yield name, [4, n]
+
+    got = _sample(UNIT, runs(), 2, True, lambda i, p: (i, p))
+    want = [b for n, g in enumerate("abc") for b in [("cousin", g), (g, 4, n, 0), (g, 4, n, 1)]]
+    assert got == list(enumerate(want))
+    assert builds == want
+    assert read == [("a", 0), ("b", 3), ("c", 6)]
+
+
+def test_sample_checks_each_runs_seed_before_its_first_build(monkeypatch):
+    builds = _stand_in_builders(monkeypatch)
+    with pytest.raises(ValueError, match=r"seed .*\[1, -1\]"):
+        _sample(UNIT, [("a", [0]), ("b", [1, -1])], 1, True, lambda i, p: p)
+    assert builds == [("cousin", "a"), ("a", 0, 0)]
 
 
 # ------------------------------------------------- sums overlapping builds
 
+@pytest.mark.threads
 def test_integrand_runs_on_a_worker_and_the_gauge_on_the_caller():
     seen = {"f": set(), "gauge": set()}
 
@@ -190,9 +236,9 @@ def test_integrand_runs_on_a_worker_and_the_gauge_on_the_caller():
     assert seen["f"] and threading.get_ident() not in seen["f"]
 
 
-def test_overlapped_keeps_order_and_one_total_in_flight():
-    from gaugequad.integrator import _overlapped
-
+@pytest.mark.threads
+def test_sample_keeps_order_and_one_total_in_flight(monkeypatch):
+    _stand_in_builders(monkeypatch)
     lock = threading.Lock()
     in_flight = []
     peak = []
@@ -206,40 +252,29 @@ def test_overlapped_keeps_order_and_one_total_in_flight():
             in_flight.remove(i)
         return i, p
 
-    def parts():
-        for k in range(300):
-            time.sleep(0)
-            yield k * k
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _overlapped(total, parts())
+        got = _sample(UNIT, [("g", [9])], 300, False, total)
     finally:
         sys.setswitchinterval(interval)
-    assert got == [(k, k * k) for k in range(300)]
+    assert got == [(k, ("g", 9, k)) for k in range(300)]
     assert max(peak) == 1
 
 
-def test_overlapped_runs_every_total_on_one_worker_thread():
-    from gaugequad.integrator import _overlapped
-
-    threads = _overlapped(lambda i, p: threading.current_thread(), iter(range(5)))
+@pytest.mark.threads
+def test_sample_runs_every_total_on_one_worker_thread(monkeypatch):
+    _stand_in_builders(monkeypatch)
+    threads = _sample(UNIT, [("g", [0])], 4, True, lambda i, p: threading.current_thread())
     assert len(threads) == 5
     assert all(t is threads[0] for t in threads)
     assert threads[0] is not threading.current_thread()
     assert threads[0].name.startswith("gaugequad-sum")
 
 
-def test_overlapped_stops_building_after_a_failed_total():
-    from gaugequad.integrator import _overlapped
-
-    builds = []
-
-    def parts():
-        for k in range(5):
-            builds.append(k)
-            yield k
+@pytest.mark.threads
+def test_sample_stops_building_after_a_failed_total(monkeypatch):
+    builds = _stand_in_builders(monkeypatch)
 
     def total(i, p):
         if i == 1:
@@ -248,12 +283,13 @@ def test_overlapped_stops_building_after_a_failed_total():
 
     before = threading.active_count()
     with pytest.raises(NonFiniteValue, match="total 1"):
-        _overlapped(total, parts())
+        _sample(UNIT, [("g", [0])], 4, True, total)
     # total 1 overlaps build 2 and is awaited before build 3 starts
-    assert builds == [0, 1, 2]
+    assert builds == [("cousin", "g"), ("g", 0, 0), ("g", 0, 1)]
     assert threading.active_count() == before
 
 
+@pytest.mark.threads
 def test_sum_error_wins_over_the_next_build_error(monkeypatch):
     from gaugequad import integrator
 
@@ -274,6 +310,7 @@ def test_sum_error_wins_over_the_next_build_error(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.threads
 def test_callers_errstate_reaches_the_integrand():
     with np.errstate(divide="raise"):
         with pytest.raises(FloatingPointError):  # the cousin partition tags 0
@@ -282,6 +319,7 @@ def test_callers_errstate_reaches_the_integrand():
             )
 
 
+@pytest.mark.threads
 def test_no_thread_outlives_a_call():
     before = threading.active_count()
     gauge_integrate(lambda x: x, smooth_gauge_family(), UNIT, 1e-2)
