@@ -168,26 +168,28 @@ def _render(payloads: list, fmt: str, csv_keys: Sequence[str]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _integrand(ns):
-    """integrate's (integrand, gauge family, closed form) for ns.function."""
-    if ns.function == "fj":
+def _integrand(function: str, j: Optional[int]):
+    """(integrand, gauge family, closed form) for the menu entry `function`."""
+    if function == "fj":
         return (
-            functools.partial(oscillator.f_j, ns.j),
-            oscillator.truncated_gauge_family(ns.j),
-            oscillator.exact_integral_fj(ns.j),
+            functools.partial(oscillator.f_j, j),
+            oscillator.truncated_gauge_family(j),
+            oscillator.exact_integral_fj(j),
         )
-    if ns.function.startswith("poly-"):
-        k = int(ns.function.split("-")[1])
+    if function.startswith("poly-"):
+        k = int(function.split("-")[1])
         return (lambda x: x**k), smooth_gauge_family(), 1.0 / (k + 1)
     # f, and F-defect, whose closed form is the defect's target 0
-    oracle = oscillator.exact_integral_f() if ns.function == "f" else 0.0
+    oracle = oscillator.exact_integral_f() if function == "f" else 0.0
     return oscillator.f, oscillator.loop_gauge_family(), oracle
 
 
-def cmd_integrate(ns) -> int:
-    integrand, family, oracle = _integrand(ns)
+def _solve(ns, function: str, j: Optional[int] = None):
+    """(estimate, closed form, abs error, exit code) of integrating the menu
+    entry `function` at ns's tol, trials and seed."""
+    integrand, family, oracle = _integrand(function, j)
     domain = Interval(0.0, 1.0)
-    if ns.function == "F-defect":
+    if function == "F-defect":
         # defect of the primitive increment against one cousin Riemann sum
         p = cousin_partition(domain, family.at(ns.tol))
         defect = sum_defect(oscillator.F, integrand, p)
@@ -195,9 +197,14 @@ def cmd_integrate(ns) -> int:
     else:
         est = gauge_integrate(integrand, family, domain, ns.tol, trials=ns.trials, seed=ns.seed)
     error = abs(est.value - oracle)
+    return est, oracle, error, EXIT_OK if est.converged and error <= ns.tol else EXIT_NOT_CONVERGED
+
+
+def cmd_integrate(ns) -> int:
+    est, oracle, error, code = _solve(ns, ns.function, ns.j)
     payload = dict(function=ns.function, **dataclasses.asdict(est), oracle=oracle, abs_error=error)
     _emit(_render([payload], ns.format, list(payload)), ns.out)
-    return EXIT_OK if est.converged and error <= ns.tol else EXIT_NOT_CONVERGED
+    return code
 
 
 def cmd_figures(ns) -> int:
@@ -283,12 +290,7 @@ def cmd_converge(ns) -> int:
 
 
 def cmd_demo(ns) -> int:
-    sin1 = oscillator.exact_integral_f()
-    est = gauge_integrate(
-        oscillator.f, oscillator.loop_gauge_family(), Interval(0.0, 1.0), ns.tol,
-        trials=ns.trials, seed=ns.seed,
-    )
-    error = abs(est.value - sin1)
+    est, sin1, error, code = _solve(ns, "f")
     lines = [
         "gauge integral of 2x sin(1/x^2) - (2/x) cos(1/x^2) on [0, 1]",
         f"estimate  = {est.value!r} (spread {est.spread:.3g}, "
@@ -309,7 +311,7 @@ def cmd_demo(ns) -> int:
         f"{check_criterion3(sin1, sin1, 1e-9)}"
     )
     _emit("\n".join(lines) + "\n", ns.out)
-    return EXIT_OK if est.converged and error <= ns.tol else EXIT_NOT_CONVERGED
+    return code
 
 
 _COMMANDS = {

@@ -71,14 +71,15 @@ class CriterionReport:
 
 
 def _report(alpha: float, eps: float, band: float, devs: list[float]) -> CriterionReport:
-    """Report on sampled deviations |alpha - sum|; one at or above band fails."""
-    violations = sum(dev >= band for dev in devs)
+    """Report on sampled deviations |alpha - sum|; one not below band, nan
+    included, fails, and a nan deviation makes the worst one nan."""
+    violations = sum(not dev < band for dev in devs)
     return CriterionReport(
         alpha=alpha,
         epsilon=eps,
         trials=len(devs),
         violations=violations,
-        worst_deviation=max([0.0, *devs]),
+        worst_deviation=float(np.max([0.0, *devs])),
         passed=violations == 0,
     )
 
@@ -222,6 +223,6 @@ def check_criterion3(alpha1: float, alpha2: float, tol: float) -> bool:
     """True iff the two limits agree within tol: then limit and integral
     interchange, i.e. the integral of the limit equals the limit of the
     integrals."""
-    if not (math.isfinite(tol) and tol >= 0.0):
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
         raise InvalidTolerance(f"tol must be finite and >= 0, got {tol}")
     return abs(alpha1 - alpha2) <= tol

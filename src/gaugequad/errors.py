@@ -17,7 +17,8 @@ class GaugeQuadError(Exception):
 
 
 class InvalidGauge(GaugeQuadError):
-    """A gauge returned a non-positive or non-finite value where queried."""
+    """A gauge returned a non-positive, non-finite or non-real value where
+    queried."""
 
 
 class DepthExceeded(GaugeQuadError):
@@ -29,14 +30,16 @@ class DepthExceeded(GaugeQuadError):
 
 
 class NonFiniteValue(GaugeQuadError):
-    """An integrand or integrator function produced NaN or infinity."""
+    """An integrand or integrator function produced NaN, infinity or a
+    value that is not real."""
 
 
 class InvalidTolerance(GaugeQuadError, ValueError):
     """An accuracy argument was out of range.
 
     gauge_integrate's tol, a family's eps and the criteria's eps must be
-    finite and positive; check_criterion3's tol must be finite and >= 0.
+    finite and positive real numbers; check_criterion3's tol must be a
+    finite real number >= 0.
     """
 
 

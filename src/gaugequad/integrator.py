@@ -84,8 +84,9 @@ class GaugeFamily:
 
 
 def _check_accuracy(name: str, value: float) -> None:
-    """InvalidTolerance unless the accuracy argument `name` is finite and positive."""
-    if not (math.isfinite(value) and value > 0.0):
+    """InvalidTolerance unless the accuracy argument `name` is a finite,
+    positive real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
         raise InvalidTolerance(f"{name} must be finite and positive, got {value}")
 
 
@@ -93,18 +94,13 @@ def _family(delta: Callable[[np.ndarray, float], np.ndarray]) -> GaugeFamily:
     """The family whose gauge at eps is the array kernel delta(x, eps).
 
     This is the one eps check of every family: eps must be finite and
-    positive.  The kernel gets x as a 1-d float array; the gauge returns
-    x's shape, so a scalar x gives a 0-d array.
+    positive.  The kernel gets the float array that `Gauge.eval_many`
+    converts its points to, which on every path of the package is 1-d.
     """
 
     def at(eps: float) -> Gauge:
         _check_accuracy("eps", eps)
-
-        def gauge(x):
-            x = np.asarray(x, dtype=float)
-            return delta(x.ravel(), eps).reshape(x.shape)
-
-        return Gauge(gauge)
+        return Gauge(lambda x: delta(x, eps))
 
     return GaugeFamily(at)
 

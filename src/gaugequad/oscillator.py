@@ -25,7 +25,7 @@ import numpy as np
 from .criteria import IndexSelector, IntegrandFamily, _positive_indices
 from .errors import DomainError
 from .integrator import GaugeFamily, _family
-from .partition import Interval
+from .partition import Interval, _eval_points
 
 __all__ = [
     "f",
@@ -52,11 +52,6 @@ _REL_FLOOR = 1e-8
 #: an integer provably has a tent above 2 eps x^3.  Proved constants.
 _PHASE_MARGIN = 8.0
 _PHASE_CAP = 2.0**50
-
-
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
 
 
 def _check_domain(arr: np.ndarray) -> None:
@@ -108,13 +103,13 @@ def _truncated(kernel, x, j=None):
     """
     if j is not None:
         _positive_indices(j)
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     _check_domain(arr)
     live = arr > 0.0 if j is None else arr >= 1.0 / np.asarray(j, dtype=float)
     # ravel hands the kernels, which work in place, an array even for 0-d x
     safe = np.where(live, arr, 1.0)
     out = np.where(live, kernel(safe.ravel()).reshape(safe.shape), 0.0)
-    return float(out) if scalar and out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
 def f(x):
@@ -139,14 +134,14 @@ def loop_root(n):
     """n-th root of the cosine term: sqrt(2 / ((2n+1) pi)); decreasing in n."""
     narr = np.asarray(n, dtype=float)
     out = np.sqrt(2.0 / ((2.0 * narr + 1.0) * math.pi))
-    return float(out) if out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
 def loop_area_estimate(n):
     """Signed-loop-area magnitude a_n = (2/pi) (1/(2n+1) + 1/(2n+3))."""
     narr = np.asarray(n, dtype=float)
     out = (2.0 / math.pi) * (1.0 / (2.0 * narr + 1.0) + 1.0 / (2.0 * narr + 3.0))
-    return float(out) if out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
 def _tent_delta(x: np.ndarray, eps_scale: float) -> np.ndarray:
@@ -331,6 +326,9 @@ def figure_samples(which, x_min: float, x_max: float, count: int):
 
     fig1: 2x sin(1/x^2)        fig2: (2/x) cos(1/x^2)
     fig3: fig1 - fig2 (= f)    fig4: x^2 sin(1/x^2) (= F)
+
+    Raises DomainError naming the first sampled x whose value is not
+    finite: below x ~ 7.46e-155, 1/x^2 overflows and every curve is nan.
     """
     name = f"fig{which}" if not str(which).startswith("fig") else str(which)
     if name not in _FIGURES:
@@ -340,7 +338,9 @@ def figure_samples(which, x_min: float, x_max: float, count: int):
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
     xs = np.linspace(x_min, x_max, count)
-    return list(zip(xs.tolist(), _FIGURES[name](xs).tolist()))
+    with np.errstate(all="ignore"):
+        ys = _eval_points(_FIGURES[name], xs, np.isfinite, DomainError, f"{name} not finite")
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def integrand_family() -> IntegrandFamily:
@@ -352,8 +352,8 @@ def index_selector() -> IndexSelector:
     """Threshold ceil(1/x) (1 at x = 0): beyond it f_j(x) = f(x) exactly."""
 
     def threshold(x):
-        arr, scalar = _as_array(x)
+        arr = np.asarray(x, dtype=float)
         out = np.ceil(1.0 / np.where(arr > 0.0, arr, 1.0)).astype(np.int64)
-        return int(out) if scalar else out
+        return out.item() if out.ndim == 0 else out
 
     return IndexSelector(threshold)

@@ -67,10 +67,6 @@ class Interval:
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
 
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
 
 def _eval_points(
     fn: Callable, xs: np.ndarray, ok, error, what: str, dtype=float, lead=()
@@ -78,21 +74,26 @@ def _eval_points(
     """fn on every point of xs, as a writable array of xs's shape whose
     values all pass ok: the one evaluation of every user callable.
 
-    One array call fn(*lead, xs), coerced to dtype, where lead holds
-    arrays aligned with xs, such as a family's indices; a callable that
-    rejects arrays with TypeError or ValueError is called once per point,
-    with the matching entry of each lead array before the point.  dtype=None
-    keeps the result's own dtype, so ok sees the values before any cast,
-    and an array of xs's shape comes back without a copy.  A result of
-    another shape must broadcast to xs's shape, and is then copied, not
-    returned as a read-only stride-0 view; any other shape raises
-    LengthMismatch naming both.  ok maps the values to a bool mask, and the
-    first point where it is false raises error(f"{what} at x=...").
+    One array call fn(*lead, xs), where lead holds arrays aligned with xs,
+    such as a family's indices; only a callable that rejects arrays with
+    TypeError or ValueError is called once per point, with the matching
+    entry of each lead array before the point.  Either result is then
+    converted once: a value that is not real becomes nan, so ok, which
+    must reject nan, fails there, and the values are coerced to dtype.
+    dtype=None keeps the result's own dtype, so ok sees the values before
+    any cast, and an array of xs's shape comes back without a copy.  A
+    result of another shape must broadcast to xs's shape, and is then
+    copied, not returned as a read-only stride-0 view; any other shape
+    raises LengthMismatch naming both.  ok maps the values to a bool mask,
+    and the first point where it is false raises error(f"{what} at x=...").
     """
     try:
-        out = np.asarray(fn(*lead, xs), dtype=dtype)
+        out = fn(*lead, xs)
     except (TypeError, ValueError):
-        out = np.array([fn(*at, float(x)) for *at, x in zip(*lead, xs)], dtype=dtype)
+        out = [fn(*at, float(x)) for *at, x in zip(*lead, xs)]
+    if np.iscomplexobj(out):  # a cast would keep only the real parts
+        out = np.where(np.imag(out) == 0.0, np.real(out), np.nan)
+    out = np.asarray(out, dtype=dtype)
     if out.shape != xs.shape:
         try:
             out = np.broadcast_to(out, xs.shape).copy()
@@ -120,12 +121,16 @@ class Gauge:
     delta: Callable
 
     def __call__(self, x: float) -> float:
-        return float(self.eval_many(np.array([x], dtype=float))[0])
+        return float(self.eval_many([x])[0])
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate the gauge on an array of points, validating positivity."""
+    def eval_many(self, xs) -> np.ndarray:
+        """Evaluate the gauge on an array of points, validating positivity.
+
+        The points are converted to one float array, which is what `delta`
+        is called on.
+        """
         return _eval_points(
-            self.delta, xs, lambda d: np.isfinite(d) & (d > 0.0),
+            self.delta, np.asarray(xs, dtype=float), lambda d: np.isfinite(d) & (d > 0.0),
             InvalidGauge, "gauge non-positive or non-finite",
         )
 
@@ -137,7 +142,7 @@ class TaggedPartition:
     allowed), so cells abut and span [points[0], points[-1]] by
     construction.  The cell lengths telescope: each rounded difference is
     positive with relative error below 2**-53, so their fsum is within two
-    ulps of domain.length, inside the 8-ulp slack the tests assert.
+    ulps of b - a, inside the 8-ulp slack the tests assert.
     Instances are immutable after construction.
     """
 

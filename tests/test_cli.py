@@ -200,6 +200,17 @@ def test_figures_rejects_bad_range(capsys):
         )
 
 
+@pytest.mark.parametrize("which", ["1", "2", "3", "4"])
+def test_figures_below_overflow_of_one_over_x_squared_is_one_error_line(capsys, which):
+    # 1/x^2 overflows below x ~ 7.46e-155: no nan rows, no numpy warnings
+    # (warnings are errors in this suite)
+    argv = ["figures", which, "--count", "3", "--x-min"]
+    assert run(capsys, [*argv, "1e-300", "--x-max", "1e-299"]) == (
+        1, "", f"error: fig{which} not finite at x=1e-300\n"
+    )
+    assert run(capsys, [*argv, "7.5e-155", "--x-max", "1e-154"])[0] == 0
+
+
 def test_figures_out_file(tmp_path, capsys):
     target = tmp_path / "fig.csv"
     code, out, _ = run(capsys, ["figures", "2", "--count", "5", "--out", str(target)])

@@ -187,6 +187,23 @@ def test_criterion1_detects_shifted_center():
     assert rep.worst_deviation >= 9.0 * eps
 
 
+@pytest.mark.parametrize("criterion", ["criterion1", "criterion2"])
+def test_nan_alpha_fails_every_trial(criterion):
+    if criterion == "criterion1":
+        rep = check_criterion1(
+            paper_family(), osc.loop_gauge_family(), osc.index_selector(),
+            alpha1=math.nan, eps=1e-2, trials=3, seed=0,
+        )
+    else:
+        rep = check_criterion2(
+            paper_family(), lambda j: osc.truncated_gauge_family(j).at(5e-3),
+            alpha2=math.nan, eps=1e-2, j_list=[11], trials=2, seed=0,
+        )
+    assert not rep.passed
+    assert rep.violations == rep.trials == 3
+    assert math.isnan(rep.worst_deviation)
+
+
 def test_criterion1_dominated_family(monkeypatch):
     # f_j(x) = x + x/j converges to x dominated by 2x; with thresholds
     # ceil(1/eps) the index term contributes at most 1/j <= eps/2 in sum

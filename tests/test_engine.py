@@ -186,9 +186,9 @@ def piecewise_constant_cases(draw):
     )
     k = draw(st.integers(1, 5))
     fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=k - 1, max_size=k - 1))
-    breaks = np.sort(domain.a + domain.length * np.array(fracs, dtype=float))
+    breaks = np.sort(domain.a + (domain.b - domain.a) * np.array(fracs, dtype=float))
     powers = draw(st.lists(st.floats(1.0, 12.0), min_size=k, max_size=k))
-    values = domain.length * np.exp2(-np.array(powers))
+    values = (domain.b - domain.a) * np.exp2(-np.array(powers))
 
     def delta(x):
         return values[np.searchsorted(breaks, x, side="right")]

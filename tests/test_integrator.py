@@ -14,6 +14,8 @@ from gaugequad import (
     InvalidTolerance,
     NonFiniteValue,
     TaggedPartition,
+    check_criterion3,
+    cousin_partition,
     gauge_integrate,
     riemann_sum,
     smooth_gauge_family,
@@ -408,6 +410,21 @@ def test_family_rejects_a_bad_eps_with_invalid_tolerance(family, eps):
         family().at(eps)
 
 
+@pytest.mark.parametrize("value", ["1e-3", None, 1e-3 + 0j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: gauge_integrate(np.sin, smooth_gauge_family(), UNIT, tol=v),
+        lambda v: osc.loop_gauge_family().at(v),
+        lambda v: check_criterion3(0.0, 0.0, v),
+    ],
+    ids=["tol", "eps", "criterion3-tol"],
+)
+def test_non_real_accuracy_argument_raises_invalid_tolerance(call, value):
+    with pytest.raises(InvalidTolerance, match="must be finite and"):
+        call(value)
+
+
 def test_gauge_integrate_depth_exceeded_first_level_raises(monkeypatch):
     from gaugequad import DepthExceeded, partition
 
@@ -442,6 +459,40 @@ def test_gauge_integrate_unconverged_returns_last_estimate(monkeypatch):
     assert not est.converged
     assert est.cells_used >= 1
     assert est.spread > 1e-12
+
+
+def counted_constant_family(calls):
+    """A family whose gauge is 0.05 at every eps, counting its at calls."""
+
+    def at(eps):
+        calls.append(eps)
+        return const_gauge(0.05)
+
+    return GaugeFamily(at)
+
+
+def test_gauge_integrate_stops_after_max_levels(monkeypatch):
+    from gaugequad import integrator
+
+    monkeypatch.setattr(integrator, "_MAX_LEVELS", 3)
+    calls = []
+    # the gauge never shrinks, so the sampled sums never come within 1e-12
+    family = counted_constant_family(calls)
+    est = gauge_integrate(lambda x: np.sin(40.0 * x), family, UNIT, tol=1e-12)
+    assert not est.converged and est.spread > 1e-12
+    assert len(calls) == 3
+
+
+def test_gauge_integrate_stops_after_a_level_over_max_cells(monkeypatch):
+    from gaugequad import integrator
+
+    cells = len(cousin_partition(UNIT, const_gauge(0.05)))
+    monkeypatch.setattr(integrator, "_MAX_CELLS", cells - 1)
+    calls = []
+    family = counted_constant_family(calls)
+    est = gauge_integrate(lambda x: np.sin(40.0 * x), family, UNIT, tol=1e-12)
+    assert not est.converged and est.cells_used == cells
+    assert len(calls) == 1
 
 
 # --------------------------------- constant delta: Riemann sums diverge

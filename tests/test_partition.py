@@ -151,6 +151,25 @@ def test_wrong_shaped_result_raises_after_one_call(site, result):
 
 
 @pytest.mark.parametrize("site", SITES)
+@pytest.mark.parametrize(
+    "result, first",
+    [(lambda x: 0.5 + 1j, "0.1"), (lambda x: np.where(np.asarray(x) > 0.4, 1 + 1j, 1 + 0j), "0.5")],
+    ids=["complex-scalar", "complex-array"],
+)
+def test_complex_result_raises_the_sites_error_after_one_call(site, result, first):
+    run, error = SITES[site]
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return result(x)
+
+    with pytest.raises(error, match=rf" at x={first}$"):
+        run(fn)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("site", SITES)
 def test_result_that_broadcasts_is_accepted(site):
     run, _ = SITES[site]
     run(lambda x: 1)
@@ -288,5 +307,6 @@ def test_lengths_telescope_for_any_points(tp):
     # the rounded cell lengths must telescope to it within 8 ulps
     p = TaggedPartition(*tp)
     total = math.fsum(np.diff(p.points))
-    ulp = math.ulp(max(abs(total), abs(p.domain.length)))
-    assert abs(total - p.domain.length) <= 8 * ulp
+    length = p.domain.b - p.domain.a
+    ulp = math.ulp(max(abs(total), abs(length)))
+    assert abs(total - length) <= 8 * ulp
