@@ -119,12 +119,13 @@ def variable_index_sum(
     scalar-only member_at is called once per cell, and the block totals
     are added in cell order.  With all indices equal to j this reduces
     bitwise to riemann_sum(partial(fam.member_at, j), p).  Called by
-    check_criterion1, it runs on a worker thread while the caller's thread
-    evaluates the next partition's gauge, so the family and the gauge must
-    not share unsynchronised mutable state.
+    check_criterion1 on a partition of more than 2**11 cells, it runs on a
+    worker thread while the caller's thread evaluates the next partition's
+    gauge, so the family and the gauge must not share unsynchronised
+    mutable state; a smaller partition is summed on the caller's thread.
     """
     idx = _positive_indices(indices, len(p))
-    return _block_sum(fam.member_at, p, "family member non-finite", idx)
+    return _block_sum(fam.member_at, p, "family member", idx)
 
 
 def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:
@@ -136,7 +137,9 @@ def _thresholds(sel: IndexSelector, tags: np.ndarray) -> np.ndarray:
     the float 2.0**63, which numpy compares with bool results too.
     """
     ok = lambda q: (q >= 1) & (q < 2.0**63)  # noqa: E731
-    q = _eval_points(sel.threshold, tags, ok, InvalidIndex, "selector threshold out of range", None)
+    q = _eval_points(
+        sel.threshold, tags, ok, InvalidIndex, "selector threshold", "out of range", None
+    )
     return q.astype(np.int64, copy=False)
 
 
@@ -157,14 +160,16 @@ def check_criterion1(
     evidence for the criterion whose conclusion is that the limit function
     integrates to alpha1.
 
-    Each partition's index draw and variable-index sum run on a worker
-    thread while the caller's thread builds the next partition, so the
-    family and selector run on the worker and the gauge on the caller's
-    thread: they must not share unsynchronised mutable state.  Sums follow
-    riemann_sum's block rule.  A seed that is not a non-negative integer
-    raises ValueError before any build, as does a trials that is not an
-    integer >= 1; an eps that is not finite and positive raises
-    InvalidTolerance.
+    The index draw and variable-index sum of a partition of more than
+    2**11 cells run on a worker thread while the caller's thread builds the
+    next partition, so the family and selector may run on the worker and
+    the gauge always runs on the caller's thread: they must not share
+    unsynchronised mutable state.  Smaller partitions are summed on the
+    caller's thread, and builds that stay below 2**16 cells start no
+    thread.  Sums follow riemann_sum's block rule.  A seed that is not a
+    non-negative integer raises ValueError before any build, as does a
+    trials that is not an integer >= 1; an eps that is not finite and
+    positive raises InvalidTolerance.
     """
     _check_accuracy("eps", eps)
     if not (isinstance(trials, numbers.Integral) and trials >= 1):
@@ -195,14 +200,17 @@ def check_criterion2(
     for the criterion's "for every large enough j" is the caller's part.
     Each j gets its own gauge via gauge_for(j), following the per-index
     gauge construction, and its cousin partition plus `trials` seeded
-    ones.  Each partition is summed on a worker thread while the caller's
-    thread builds the next one, across j values too, so f_j runs on the
-    worker and gauge_for and its gauges on the caller's thread: they must
-    not share unsynchronised mutable state.  Sums follow riemann_sum's block rule.  A seed that is
-    not a non-negative integer raises ValueError before any build, as do a
-    trials that is not an integer >= 1 and an empty j_list; an eps that is
-    not finite and positive raises InvalidTolerance.  The acceptance band
-    is 2*eps, the bound the triangle inequality yields.
+    ones.  A partition of more than 2**11 cells is summed on a worker
+    thread while the caller's thread builds the next one, across j values
+    too, so f_j may run on the worker and gauge_for and its gauges always
+    run on the caller's thread: they must not share unsynchronised mutable
+    state.  Smaller partitions are summed on the caller's thread, and
+    builds that stay below 2**16 cells start no thread.  Sums follow
+    riemann_sum's block rule.  A seed that is not a non-negative integer
+    raises ValueError before any build, as do a trials that is not an
+    integer >= 1 and an empty j_list; an eps that is not finite and
+    positive raises InvalidTolerance.  The acceptance band is 2*eps, the
+    bound the triangle inequality yields.
     """
     _check_accuracy("eps", eps)
     if not (isinstance(trials, numbers.Integral) and trials >= 1) or len(j_list) == 0:

@@ -123,6 +123,14 @@ def smooth_gauge_family() -> GaugeFamily:
 #: neither the machine's BLAS nor its thread count.
 _BLOCK = 1 << 16
 
+#: `_sample` sums a partition of at most this many cells on the calling
+#: thread.  On 2 vCPUs a hand-off to its worker costs about 22 us, plus a
+#: thread start of about 85 us per call, so about 40 us a partition in a
+#: five-partition level.  A sum of 2**11 cells takes about 28 us for x**3
+#: and 70-86 us for the oscillator's f and f_j, so the break-even lies
+#: near this size.
+_INLINE_SUM = 1 << 11
+
 
 def _block_sum(f: Callable, p: TaggedPartition, what: str, *lead: np.ndarray) -> float:
     """The one summation rule: sum of f(*lead, tag) * |cell| in cell order.
@@ -141,7 +149,8 @@ def _block_sum(f: Callable, p: TaggedPartition, what: str, *lead: np.ndarray) ->
     for i in range(0, n, _BLOCK):
         j = min(i + _BLOCK, n)
         # outside the errstate below: the caller's applies
-        v = _eval_points(f, tags[i:j], np.isfinite, NonFiniteValue, what, lead=[a[i:j] for a in lead])
+        block = [a[i:j] for a in lead]
+        v = _eval_points(f, tags[i:j], np.isfinite, NonFiniteValue, what, "non-finite", lead=block)
         w = points[i + 1 : j + 1] - points[i:j]
         with np.errstate(over="ignore", invalid="ignore"):
             w *= v
@@ -158,11 +167,12 @@ def riemann_sum(f: RealFunction, p: TaggedPartition) -> float:
     most 2**16 tags at a time, or once per tag if it is scalar-only, and
     the block totals are added in cell order, so the result does not
     depend on BLAS or its thread count.  Called by gauge_integrate or a
-    criterion checker, it runs on a worker thread while the caller's
-    thread evaluates the gauge for the next partition, so f and the gauge
-    must not share unsynchronised mutable state.
+    criterion checker on a partition of more than 2**11 cells, it runs on
+    a worker thread while the caller's thread evaluates the gauge for the
+    next partition, so f and the gauge must not share unsynchronised
+    mutable state; a smaller partition is summed on the caller's thread.
     """
-    return _block_sum(f, p, "integrand non-finite")
+    return _block_sum(f, p, "integrand")
 
 
 def sum_defect(F: RealFunction, f: RealFunction, p: TaggedPartition) -> float:
@@ -189,16 +199,19 @@ def _sample(domain: Interval, runs: Iterable, trials: int, cousin: bool, total: 
     Both builders are looked up as this module's globals at every build, so
     a rebinding of either name reaches every build.
 
-    total(i, p_k) runs on a one-worker executor while this thread builds
-    p_{k+1}, and is awaited before total(i + 1, p_{k+1}) is submitted, so
-    at most one total is in flight, on the same worker thread, and no thread
-    outlives the call.  Only hand_over's frame holds p_k on this thread,
-    and it returns once the total is submitted, so this thread drops p_k
-    before it starts p_{k+1}: a partition is freed as soon as it is
-    summed.  Each total runs in a copy of the caller's context, so the
-    caller's np.errstate reaches the integrand.  Errors surface in
-    sequence order: if total k fails and building p_{k+1} fails too, total
-    k's error is raised, as if p_{k+1} had never been built.
+    A total in flight is awaited before the next partition is handed over.
+    A partition of at most `_INLINE_SUM` cells is then summed on this
+    thread, in the caller's own context.  A larger one goes to a one-worker
+    executor, whose thread starts at the first such partition, and
+    total(i, p_k) runs there while this thread builds p_{k+1}.  So at most
+    one total is in flight, always on the same worker thread, and no thread
+    outlives the call.  Only hand_over's frame holds p_k on this thread, and it
+    returns once the total is done or submitted, so this thread drops p_k
+    before it starts p_{k+1}: a partition is freed as soon as it is summed.
+    Each total on the worker runs in a copy of the caller's context, so the
+    caller's np.errstate reaches the integrand on either thread.  Errors
+    surface in sequence order: if total k fails and building p_{k+1} fails
+    too, total k's error is raised, as if p_{k+1} had never been built.
     """
     results: list = []
     pending: list = []  # the future of the total in flight, if any
@@ -207,7 +220,10 @@ def _sample(domain: Interval, runs: Iterable, trials: int, cousin: bool, total: 
         def hand_over(p: TaggedPartition) -> None:
             if pending:
                 results.append(pending.pop().result())
-            pending.append(pool.submit(contextvars.copy_context().run, total, len(results), p))
+            if len(p) <= _INLINE_SUM:
+                results.append(total(len(results), p))
+            else:
+                pending.append(pool.submit(contextvars.copy_context().run, total, len(results), p))
 
         try:
             for gauge, prefix in runs:
@@ -247,9 +263,13 @@ def gauge_integrate(
     independent.  A seed that is not a non-negative integer raises
     ValueError before any build.
 
-    Each sum runs on a worker thread while the caller's thread builds the
-    next partition, so f runs on the worker and the gauge on the caller's
-    thread: the two must not share unsynchronised mutable state.  The
+    The sum of a partition of more than 2**11 cells runs on a worker
+    thread while the caller's thread builds the next partition, so f may
+    run on the worker and the gauge always runs on the caller's thread: the
+    two must not share unsynchronised mutable state.  Smaller partitions
+    are summed on the caller's thread, so a level whose partitions stay at
+    or below 2**11 cells starts no thread (nor do their builds, see
+    random_delta_fine_partition).  The
     caller's np.errstate applies to both.  Sums follow riemann_sum's block
     rule.
 

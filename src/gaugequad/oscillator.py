@@ -339,7 +339,7 @@ def figure_samples(which, x_min: float, x_max: float, count: int):
         raise DomainError(f"count must be >= 2, got {count}")
     xs = np.linspace(x_min, x_max, count)
     with np.errstate(all="ignore"):
-        ys = _eval_points(_FIGURES[name], xs, np.isfinite, DomainError, f"{name} not finite")
+        ys = _eval_points(_FIGURES[name], xs, np.isfinite, DomainError, name, "not finite")
     return list(zip(xs.tolist(), ys.tolist()))
 
 

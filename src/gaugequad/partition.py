@@ -48,7 +48,9 @@ _FIRST = np.array(
     dtype=np.uint8,
 )
 
-#: Trial orders are drawn this many cells at a time (see `_trial_orders`).
+#: Trial orders are drawn this many cells at a time (see `_trial_orders`),
+#: and a seeded level or a tag sort of at least this many cells runs on the
+#: build helper (see `_build_fine`).
 _DRAW_BLOCK = 1 << 16
 
 
@@ -69,31 +71,34 @@ class Interval:
 
 
 def _eval_points(
-    fn: Callable, xs: np.ndarray, ok, error, what: str, dtype=float, lead=()
+    fn: Callable, xs: np.ndarray, ok, error, what: str, bad: str, dtype=float, lead=()
 ) -> np.ndarray:
     """fn on every point of xs, as a writable array of xs's shape whose
-    values all pass ok: the one evaluation of every user callable.
+    values are all real and pass ok: the one evaluation of every user
+    callable.
 
     One array call fn(*lead, xs), where lead holds arrays aligned with xs,
     such as a family's indices; only a callable that rejects arrays with
     TypeError or ValueError is called once per point, with the matching
     entry of each lead array before the point.  Either result is then
-    converted once: a value that is not real becomes nan, so ok, which
-    must reject nan, fails there, and the values are coerced to dtype.
-    dtype=None keeps the result's own dtype, so ok sees the values before
-    any cast, and an array of xs's shape comes back without a copy.  A
-    result of another shape must broadcast to xs's shape, and is then
-    copied, not returned as a read-only stride-0 view; any other shape
-    raises LengthMismatch naming both.  ok maps the values to a bool mask,
-    and the first point where it is false raises error(f"{what} at x=...").
+    converted once.  A result of another shape must broadcast to xs's
+    shape, and is then copied, not returned as a read-only stride-0 view;
+    any other shape raises LengthMismatch naming both.  A value that is not
+    a real number, such as a complex value with a nonzero imaginary part,
+    a string, even "1.0", or an object that float() rejects, raises
+    error(f"{what} not real at x=...") at the first such point; then the
+    values are coerced to dtype.  An object or string result is converted
+    entry by entry with `_float`, so an integer past the float range
+    becomes an infinity.  dtype=None keeps a numeric result's own dtype, so
+    ok sees the values before any cast, and an array of xs's shape comes
+    back without a copy.  ok maps the values to a bool mask, and the first
+    point where it is false raises error(f"{what} {bad} at x=...").
     """
     try:
         out = fn(*lead, xs)
     except (TypeError, ValueError):
         out = [fn(*at, float(x)) for *at, x in zip(*lead, xs)]
-    if np.iscomplexobj(out):  # a cast would keep only the real parts
-        out = np.where(np.imag(out) == 0.0, np.real(out), np.nan)
-    out = np.asarray(out, dtype=dtype)
+    out = np.asarray(out)
     if out.shape != xs.shape:
         try:
             out = np.broadcast_to(out, xs.shape).copy()
@@ -102,10 +107,34 @@ def _eval_points(
                 f"result of shape {out.shape} does not broadcast to "
                 f"the points' shape {xs.shape}"
             ) from None
+    real = True
+    if out.dtype.kind == "c":  # a cast would keep only the real parts
+        real = out.imag == 0.0
+        out = out.real
+    elif out.dtype.kind not in "biuf":  # objects or strings
+        values = [_float(v) for v in out.flat]
+        real = np.array([v is not None for v in values]).reshape(xs.shape)
+        out = np.array([np.nan if v is None else v for v in values]).reshape(xs.shape)
+    if not np.all(real):
+        raise error(f"{what} not real at x={xs[~real][0]}")
+    out = np.asarray(out, dtype=dtype)
     good = ok(out)
     if not good.all():
-        raise error(f"{what} at x={xs[~good][0]}")
+        raise error(f"{what} {bad} at x={xs[~good][0]}")
     return out
+
+
+def _float(v) -> float | None:
+    """float(v), an infinity for a number past the float range, or None for
+    a value that is not a real number, a numeric string included."""
+    if isinstance(v, (str, bytes)):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+    except (TypeError, ValueError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -131,7 +160,7 @@ class Gauge:
         """
         return _eval_points(
             self.delta, np.asarray(xs, dtype=float), lambda d: np.isfinite(d) & (d > 0.0),
-            InvalidGauge, "gauge non-positive or non-finite",
+            InvalidGauge, "gauge", "non-positive or non-finite",
         )
 
 
@@ -225,18 +254,25 @@ def _build_fine(
     finite doubles with gradual underflow a - b > 0 iff a > b, so this is
     the test u < mid < v on every split.
 
-    Draws and tests.  A seeded build's draws run on `pool`'s one helper
-    thread, which runs only these draws and the final tag sort, never the
-    gauge.  A level's split fractions r are drawn by rng.random(out=M)
-    straight into its block, queued as soon as the block is allocated, so
-    they are drawn while this thread gathers the pending cells into it.
-    Once they are in, the helper draws the level's trial orders (see
-    `_trial_orders`) while this thread forms M = (r * 0.5 + 0.25) * span + U
-    in place, runs the tests and calls the gauge.  Generator.uniform(0.25,
-    0.75, n) forms its values from the same doubles r as r * 0.5 + 0.25,
-    so M is U + span * uniform(0.25, 0.75, n).  Each draw is awaited before
-    the next is queued, so the generator makes the sequential build's draws
-    in the same order, and this thread never touches it.  The mid test
+    Draws and tests.  A seeded level draws its split fractions r with
+    rng.random(out=M), straight into its block, then its trial orders (see
+    `_trial_orders`).  A level of fewer than `_DRAW_BLOCK` cells makes both
+    draws on this thread once its spans are checked.  A larger level's two
+    draws are queued together on `pool`'s one helper thread, fractions
+    first, as soon as the previous level allocates the block, so the helper
+    draws them while this thread gathers the pending cells into it; the
+    level then forms span and the two end tests before it awaits the
+    fractions, and the trial orders are drawn while this thread forms
+    M = (r * 0.5 + 0.25) * span + U in place, calls the gauge and runs the
+    mid test.  Generator.uniform(0.25, 0.75, n) forms its values from the
+    same doubles r as r * 0.5 + 0.25, so M is U + span * uniform(0.25,
+    0.75, n).  A level awaits both of its queued draws before the next
+    level draws or queues any, so the generator runs on one thread at a
+    time and makes the sequential build's draws in the same order.  The
+    helper runs only these draws and the final tag sort, never the gauge,
+    and its thread starts at its first task, as `ThreadPoolExecutor` starts
+    threads on submit: a build whose levels and partition all stay below
+    `_DRAW_BLOCK` cells starts no thread.  The mid test
     (M - U < dM) & (V - M < dM) reuses span's buffer for both gaps, and the
     trial orders are ORed into the code after it.
 
@@ -260,23 +296,25 @@ def _build_fine(
     division point or the split point of its own cell, the division points
     strictly increase so at most one is zero, and a split-point tag of zero
     lies strictly inside its cell, which leaves no division point at zero.
-    The helper sorts the tags while this thread concatenates and sorts the
-    left ends.  The levels run in
-    `_levels`, so the last level's arrays are gone before these sorts and
-    concatenations, and the `with` block joins the helper before the build
-    returns or raises.
+    In a build of at least `_DRAW_BLOCK` cells the helper sorts the tags
+    while this thread concatenates and sorts the left ends; a smaller build
+    sorts both on this thread.  The levels run in `_levels`, so the last
+    level's arrays are gone before these sorts and concatenations, and the
+    `with` block joins the helper, if it started, before the build returns
+    or raises.
     """
     with ThreadPoolExecutor(1, thread_name_prefix="gaugequad-build") as pool:
         acc_t, acc_u = _levels(domain, g, rng, pool)
         tags = np.concatenate(acc_t)
         del acc_t
-        tags_sorted = pool.submit(tags.sort)
+        tags_sorted = pool.submit(tags.sort) if tags.size >= _DRAW_BLOCK else tags.sort()
         points = np.empty(tags.size + 1)
         np.concatenate(acc_u, out=points[:-1])
         del acc_u
         points[:-1].sort()
         points[-1] = domain.b
-        tags_sorted.result()
+        if tags_sorted is not None:
+            tags_sorted.result()
     return tags, points
 
 
@@ -295,11 +333,19 @@ def _levels(
     domain: Interval, g: Gauge, rng: np.random.Generator | None, pool: ThreadPoolExecutor
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """`_build_fine`'s level loop: each level's accepted tags and left ends."""
+
+    def queue(M: np.ndarray):
+        """The futures of a seeded level's split fractions, drawn into M, and
+        trial orders, queued on `pool` in that order, if the level has at
+        least `_DRAW_BLOCK` cells; else None, and the level draws inline."""
+        if rng is None or M.size < _DRAW_BLOCK:
+            return None
+        return pool.submit(rng.random, out=M), pool.submit(_trial_orders, rng, M.size)
+
     B = np.empty(3)
     B[0], B[1] = domain.a, domain.b
     n, oV, oM = 1, 1, 2
-    if rng is not None:
-        fractions = pool.submit(rng.random, out=B[2:])
+    queued = queue(B[2:])
     dU = g.eval_many(B[:1])
     dV = g.eval_many(B[1:2])
     acc_t: list[np.ndarray] = []
@@ -313,18 +359,21 @@ def _levels(
                 "bisection reached adjacent floats without acceptance; "
                 "gauge is unrepresentable there"
             )
+        if rng is not None and queued is None:
+            rng.random(out=M)
+            orders = _trial_orders(rng, n)
+        code = (span < dU).view(np.uint8)
+        code |= (span < dV).view(np.uint8) << 2
         if rng is None:
             np.add(U, V, out=M)
             M *= 0.5
         else:
-            fractions.result()
-            orders = pool.submit(_trial_orders, rng, n)
+            if queued is not None:
+                queued[0].result()
             M *= 0.5
             M += 0.25
             M *= span
             M += U
-        code = (span < dU).view(np.uint8)
-        code |= (span < dV).view(np.uint8) << 2
         dM = g.eval_many(M)
         np.subtract(M, U, out=span)
         mid = span < dM
@@ -334,7 +383,7 @@ def _levels(
         code |= mid.view(np.uint8) << 1
         del mid
         if rng is not None:
-            code |= orders.result()
+            code |= orders if queued is None else queued[1].result()
         first = _FIRST.take(code)
         del code
         taken = first < 3
@@ -363,8 +412,7 @@ def _levels(
         del dM
         dU, dV = D[:2].ravel(), D[1:].ravel()
         C = np.empty((5, m))
-        if rng is not None:
-            fractions = pool.submit(rng.random, out=C[3:].ravel())
+        queued = queue(C[3:].ravel())
         U.take(pi, out=C[0], mode="clip")
         M.take(pi, out=C[1], mode="clip")
         V.take(pi, out=C[2], mode="clip")
@@ -398,10 +446,13 @@ def random_delta_fine_partition(
     ints such as (seed, level, trial).  An entry that is not a non-negative
     integer raises ValueError before the build starts.
 
-    The build's draws and its final tag sort run on one helper thread
-    while this thread gathers cells and evaluates the gauge; the gauge is
-    only ever called from the calling thread, and the helper is joined
-    before this returns or raises.
+    The draws of each bisection level of at least 2**16 cells, and the
+    final tag sort of a partition of at least 2**16 cells, run on one
+    helper thread while this thread gathers cells and evaluates the gauge;
+    smaller levels and sorts run on this thread, so a build that stays
+    below that size starts no thread.  The gauge is only ever called from
+    the calling thread, and the helper is joined before this returns or
+    raises.
     """
     _check_seed(seed)
     return TaggedPartition(*_build_fine(domain, g, np.random.default_rng(seed)))

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,22 @@ def partition_of_size(n: int):
     points = (points - points[0]) / (points[-1] - points[0])  # on [0, 1]
     tags = np.minimum(points[:-1] + rng.random(n) * np.diff(points), points[1:])
     return TaggedPartition(tags, points)
+
+
+def started_threads(monkeypatch) -> list[str]:
+    """The names of the threads started from now on, in a list that grows
+    as they start."""
+    names = []
+    start = threading.Thread.start
+
+    def recording(self):
+        names.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return names
+
+
+def package_threads(names: list[str]) -> set[str]:
+    """The package's thread kinds among names, such as "gaugequad-sum"."""
+    return {name.rsplit("_", 1)[0] for name in names if name.startswith("gaugequad-")}

@@ -12,6 +12,8 @@ from gaugequad import cli, integrator, oscillator, partition
 from gaugequad.cli import main
 from gaugequad.oscillator import loop_area_estimate, loop_root
 
+from conftest import package_threads, started_threads
+
 SIN1 = math.sin(1.0)
 
 
@@ -130,6 +132,8 @@ def test_memory_error_on_the_build_helper_exits_not_converged(capsys, monkeypatc
         threads.append(threading.current_thread().name)
         raise MemoryError(_NO_MEMORY)
 
+    # draws go to the helper only on levels of at least _DRAW_BLOCK cells
+    monkeypatch.setattr(partition, "_DRAW_BLOCK", 1)
     monkeypatch.setattr(partition, "_trial_orders", trial_orders)
     assert run(capsys, ["integrate", "poly-3", "--tol", "1e-3"]) == (
         2, "", f"error: out of memory: {_NO_MEMORY}\n"
@@ -146,11 +150,24 @@ def test_memory_error_on_the_sum_worker_exits_not_converged(capsys, monkeypatch)
         threads.append(threading.current_thread())
         raise MemoryError()
 
+    # sums go to the worker only for partitions of more than _INLINE_SUM cells
+    monkeypatch.setattr(integrator, "_INLINE_SUM", 0)
     monkeypatch.setattr(oscillator, "f", integrand)
     assert run(capsys, ["integrate", "f", "--tol", "1e-2"]) == (
         2, "", "error: out of memory: allocation failed\n"
     )
     assert threads and threading.main_thread() not in threads
+
+
+@pytest.mark.threads
+def test_small_criterion2_run_starts_no_build_helper(capsys, monkeypatch):
+    # its partitions, of 1,770 to 48,804 cells, stay below one draw block, so
+    # no build starts a helper; those of more than _INLINE_SUM cells are
+    # summed on the worker while the next one builds
+    started = started_threads(monkeypatch)
+    code, out, _ = run(capsys, ["converge", "2", "--eps", "1e-2"])
+    assert code == 0 and "passed = True" in out
+    assert package_threads(started) == {"gaugequad-sum"}
 
 
 def test_unknown_command_is_usage_error(capsys):

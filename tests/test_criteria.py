@@ -452,6 +452,9 @@ def _held_per_build(monkeypatch, run):
     # TaggedPartition has no __weakref__ slot, so its tags array stands in
     live = []
     held = []
+    # every partition is summed on the worker, which otherwise takes only
+    # those of more than _INLINE_SUM cells
+    monkeypatch.setattr(integrator, "_INLINE_SUM", 0)
 
     def tracked(build):
         def wrapped(*args, **kwargs):
@@ -491,6 +494,7 @@ def test_sampling_loop_holds_one_finished_partition_at_a_time(monkeypatch, run):
 def test_summed_partition_is_freed_while_the_next_one_builds(monkeypatch, run):
     # the sum of p_k runs alongside the build of p_{k+1}; once it ends, no
     # reference may keep p_k alive until that build is done
+    monkeypatch.setattr(integrator, "_INLINE_SUM", 0)  # as in _held_per_build
     live = []
     freed = []
 

@@ -32,7 +32,7 @@ from gaugequad import oscillator as osc
 from gaugequad import partition
 from gaugequad.partition import _build_fine
 
-from conftest import const_gauge
+from conftest import const_gauge, package_threads, started_threads
 
 UNIT = Interval(0.0, 1.0)
 
@@ -171,6 +171,33 @@ def test_engine_matches_reference_bytewise(case, seed):
     assert_matches_reference(*ENGINE_CASES[case], seed)
 
 
+#: For each draw threshold (None leaves it at _DRAW_BLOCK), a gauge whose
+#: seeded frontiers reach it: at most about 2,500, 21,600 and 110,000 cells
+#: at a level.  Above 1 they also fall back below it, so a build switches
+#: from inline draws to queued ones and back.  With the threshold at 1 every
+#: level's draws are queued, one trial order at a time.
+THRESHOLD_GAUGES = {
+    1: osc.loop_gauge_family().at(1e-2),
+    7: osc.loop_gauge_family().at(3e-3),
+    4096: osc.loop_gauge_family().at(3e-3),
+    None: const_gauge(3e-6),
+}
+
+
+@pytest.mark.threads
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("threshold", THRESHOLD_GAUGES, ids=["1", "7", "4096", "unpatched"])
+def test_draw_threshold_keeps_builds_bytewise(threshold, seed, monkeypatch):
+    # a seeded level draws on the helper once its frontier reaches the
+    # threshold, and inline below it; a build's tag sort moves to the helper
+    # at the same size, so the cousin rule is checked at each threshold too
+    if threshold is not None:
+        monkeypatch.setattr(partition, "_DRAW_BLOCK", threshold)
+    started = started_threads(monkeypatch)
+    assert_matches_reference(UNIT, THRESHOLD_GAUGES[threshold], seed)
+    assert package_threads(started) == {"gaugequad-build"}
+
+
 @st.composite
 def piecewise_constant_cases(draw):
     """A domain and a gauge constant on 1 to 5 pieces of it."""
@@ -241,10 +268,15 @@ def test_partitions_are_fine_abutting_ordered_and_seed_deterministic(
 
 
 @pytest.mark.threads
-def test_builds_on_four_threads_under_a_short_switch_interval_match_the_reference():
+def test_builds_on_four_threads_under_a_short_switch_interval_match_the_reference(monkeypatch):
     # four seeded builds at once, each with its own draw helper: eight
     # threads switching every microsecond must not reorder a generator's
-    # draws or let a level read a split fraction before it is drawn
+    # draws or let a level read a split fraction before it is drawn.  With
+    # the draw threshold at 64 cells every level of 64 cells or more queues
+    # both of its draws on the helper, and every build sorts its tags there;
+    # at 1 these builds would draw their trial orders one cell at a time.
+    monkeypatch.setattr(partition, "_DRAW_BLOCK", 64)
+    started = started_threads(monkeypatch)
     cases = [
         (g, seed)
         for g in (osc.loop_gauge_family().at(3e-3), const_gauge(3e-6))
@@ -269,6 +301,8 @@ def test_builds_on_four_threads_under_a_short_switch_interval_match_the_referenc
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    helpers = [name for name in started if name.startswith("gaugequad-build")]
+    assert len(helpers) == 3 * len(cases)
     for old, runs in zip(want, got):
         assert len(runs) == 3
         for tags, points in runs:
@@ -327,7 +361,9 @@ def test_invalid_gauge_raises_during_build(seed, monkeypatch):
         build(UNIT, Gauge(lambda x: x - 0.5), seed)
 
     # valid on a, b and levels 0 to 3 and invalid on level 4's split points,
-    # while the helper is held in level 4's trial-order draw until it raises
+    # while the helper is held in level 4's trial-order draw until it raises;
+    # with the draw threshold at 1 cell, every level's draws are queued
+    monkeypatch.setattr(partition, "_DRAW_BLOCK", 1)
     calls, draws, held, raised = [], [], [], threading.Event()
     trial_orders = partition._trial_orders
 

@@ -24,7 +24,14 @@ from gaugequad import (
 from gaugequad import oscillator as osc
 from gaugequad.integrator import _sample
 
-from conftest import BLOCK_EDGES, block_sum_reference, const_gauge, partition_of_size
+from conftest import (
+    BLOCK_EDGES,
+    block_sum_reference,
+    const_gauge,
+    package_threads,
+    partition_of_size,
+    started_threads,
+)
 
 UNIT = Interval(0.0, 1.0)
 HALVES = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
@@ -222,8 +229,26 @@ def test_sample_checks_each_runs_seed_before_its_first_build(monkeypatch):
 
 # ------------------------------------------------- sums overlapping builds
 
+@pytest.fixture
+def sum_worker(monkeypatch):
+    """Every partition summed on the worker: only partitions of more than
+    _INLINE_SUM cells go there, and these are small."""
+    from gaugequad import integrator
+
+    monkeypatch.setattr(integrator, "_INLINE_SUM", 0)
+
+
+@pytest.fixture
+def build_helper(monkeypatch):
+    """Every seeded level's draws and every tag sort on the build helper:
+    only levels and partitions of at least _DRAW_BLOCK cells go there."""
+    from gaugequad import partition
+
+    monkeypatch.setattr(partition, "_DRAW_BLOCK", 1)
+
+
 @pytest.mark.threads
-def test_integrand_runs_on_a_worker_and_the_gauge_on_the_caller():
+def test_integrand_runs_on_a_worker_and_the_gauge_on_the_caller(sum_worker):
     seen = {"f": set(), "gauge": set()}
 
     def track(name, fn):
@@ -239,7 +264,7 @@ def test_integrand_runs_on_a_worker_and_the_gauge_on_the_caller():
 
 
 @pytest.mark.threads
-def test_sample_keeps_order_and_one_total_in_flight(monkeypatch):
+def test_sample_keeps_order_and_one_total_in_flight(monkeypatch, sum_worker):
     _stand_in_builders(monkeypatch)
     lock = threading.Lock()
     in_flight = []
@@ -265,7 +290,7 @@ def test_sample_keeps_order_and_one_total_in_flight(monkeypatch):
 
 
 @pytest.mark.threads
-def test_sample_runs_every_total_on_one_worker_thread(monkeypatch):
+def test_sample_runs_every_total_on_one_worker_thread(monkeypatch, sum_worker):
     _stand_in_builders(monkeypatch)
     threads = _sample(UNIT, [("g", [0])], 4, True, lambda i, p: threading.current_thread())
     assert len(threads) == 5
@@ -275,7 +300,7 @@ def test_sample_runs_every_total_on_one_worker_thread(monkeypatch):
 
 
 @pytest.mark.threads
-def test_sample_stops_building_after_a_failed_total(monkeypatch):
+def test_sample_stops_building_after_a_failed_total(monkeypatch, sum_worker):
     builds = _stand_in_builders(monkeypatch)
 
     def total(i, p):
@@ -292,7 +317,7 @@ def test_sample_stops_building_after_a_failed_total(monkeypatch):
 
 
 @pytest.mark.threads
-def test_sum_error_wins_over_the_next_build_error(monkeypatch):
+def test_sum_error_wins_over_the_next_build_error(monkeypatch, sum_worker):
     from gaugequad import integrator
 
     building = threading.Event()
@@ -313,7 +338,7 @@ def test_sum_error_wins_over_the_next_build_error(monkeypatch):
 
 
 @pytest.mark.threads
-def test_callers_errstate_reaches_the_integrand():
+def test_callers_errstate_reaches_the_integrand(sum_worker):
     with np.errstate(divide="raise"):
         with pytest.raises(FloatingPointError):  # the cousin partition tags 0
             gauge_integrate(
@@ -322,16 +347,35 @@ def test_callers_errstate_reaches_the_integrand():
 
 
 @pytest.mark.threads
-def test_no_thread_outlives_a_call():
+def test_small_gauge_integrate_starts_no_thread(monkeypatch):
+    from gaugequad import integrator, partition
+
+    started = started_threads(monkeypatch)
+    est = gauge_integrate(lambda x: x**3, smooth_gauge_family(), UNIT, 1e-2)
+    assert est.converged and est.cells_used == 16
+    assert package_threads(started) == set()
+    # with both thresholds patched down the same run starts both threads
+    monkeypatch.setattr(integrator, "_INLINE_SUM", 0)
+    monkeypatch.setattr(partition, "_DRAW_BLOCK", 1)
+    gauge_integrate(lambda x: x**3, smooth_gauge_family(), UNIT, 1e-2)
+    assert package_threads(started) == {"gaugequad-build", "gaugequad-sum"}
+
+
+@pytest.mark.threads
+def test_no_thread_outlives_a_call(monkeypatch, sum_worker, build_helper):
     before = threading.active_count()
+    started = started_threads(monkeypatch)
     gauge_integrate(lambda x: x, smooth_gauge_family(), UNIT, 1e-2)
     assert threading.active_count() == before
+    assert package_threads(started) == {"gaugequad-build", "gaugequad-sum"}
+    started.clear()
     with pytest.raises(NonFiniteValue):
         gauge_integrate(
             lambda x: np.full_like(np.asarray(x, dtype=float), np.inf),
             smooth_gauge_family(), UNIT, 1e-2,
         )
     assert threading.active_count() == before
+    assert package_threads(started) == {"gaugequad-build", "gaugequad-sum"}
 
 
 # --------------------------------------------------------- gauge_integrate

@@ -164,9 +164,35 @@ def test_complex_result_raises_the_sites_error_after_one_call(site, result, firs
         calls.append(x)
         return result(x)
 
-    with pytest.raises(error, match=rf" at x={first}$"):
+    with pytest.raises(error, match=rf" not real at x={first}$"):
         run(fn)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("site", SITES)
+@pytest.mark.parametrize(
+    "result, first",
+    [
+        (lambda x: "a", "0.1"),
+        (lambda x: [object()] * 5, "0.1"),
+        (lambda x: [1.0, 1, None, "1.0", object()], "0.5"),
+        (lambda x: "3", "0.1"),
+    ],
+    ids=["string", "objects", "mixed", "numeric-string"],
+)
+def test_result_that_is_no_real_number_raises_the_sites_error_at_its_first_point(
+    site, result, first
+):
+    run, error = SITES[site]
+    with pytest.raises(error, match=rf"^{site} not real at x={first}$"):
+        run(result)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_int_past_the_float_range_raises_the_sites_error_at_its_point(site):
+    run, error = SITES[site]
+    with pytest.raises(error, match=r" at x=0\.5$"):
+        run(lambda x: [10**400 if v > 0.4 else 1 for v in x])
 
 
 @pytest.mark.parametrize("site", SITES)
@@ -176,7 +202,7 @@ def test_result_that_broadcasts_is_accepted(site):
 
 
 def test_broadcast_result_is_a_writable_copy():
-    out = partition._eval_points(lambda x: 0.5, FIVE.tags, np.isfinite, ValueError, "bad")
+    out = partition._eval_points(lambda x: 0.5, FIVE.tags, np.isfinite, ValueError, "value", "bad")
     assert out.shape == (5,) and out.flags.writeable
     assert out.tolist() == [0.5] * 5
 
