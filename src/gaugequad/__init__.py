@@ -4,6 +4,19 @@ Tagged partitions and gauges, delta-fine partition constructors, Riemann
 sums, a spread-converging gauge integrator, the classic oscillatory
 example family with its loop gauges, and empirical checkers for the
 Riemann-sum convergence criteria.
+
+Threads.  `gauge_integrate`, `check_criterion1` and `check_criterion2` sum
+a large partition on one worker thread, the sum worker, while the calling
+thread builds the next partition, and a large build makes its random
+draws and its tag sort on one helper thread, which runs no user code.
+The integrand, an integrand family's member_at and an index selector's
+threshold may run on the sum worker, and so may `riemann_sum` and
+`variable_index_sum`; a gauge, a gauge family and check_criterion2's
+gauge_for run only on the calling thread.  So user callables that may run
+on different threads must not share unsynchronised mutable state.  The
+caller's np.errstate applies on the sum worker too, and no thread
+outlives a call: each is joined before the call returns or raises.  A
+small run starts no thread.
 """
 from . import criteria, errors, integrator, partition
 from .criteria import *  # noqa: F403

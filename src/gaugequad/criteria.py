@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidIndex, InvalidTolerance, LengthMismatch
-from .integrator import _block_sum, _check_accuracy, _sample, riemann_sum
+from .integrator import _block_sum, _check_run, _sample, riemann_sum
 from .partition import Gauge, Interval, TaggedPartition, _eval_points
 
 __all__ = [
@@ -60,7 +60,10 @@ class IndexSelector:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Outcome of a sampling run against one criterion's inequality."""
+    """Outcome of a sampling run against one criterion's inequality.
+
+    Every field is a builtin float, int or bool.
+    """
 
     alpha: float
     epsilon: float
@@ -82,6 +85,14 @@ def _report(alpha: float, eps: float, band: float, devs: list[float]) -> Criteri
         worst_deviation=float(np.max([0.0, *devs])),
         passed=violations == 0,
     )
+
+
+def _real(name: str, value: float) -> float:
+    """float(value); ValueError naming `name` unless it is a real number,
+    so a string is rejected, not parsed."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _positive_indices(indices, n: int | None = None) -> np.ndarray:
@@ -115,14 +126,14 @@ def variable_index_sum(
     """sum of f_{indices[i]}(tag_i) * |I_i| in cell order.
 
     Follows riemann_sum's block rule: one call member_at(indices[i:j],
-    tags[i:j]) evaluates each block of at most 2**16 cells, or a
-    scalar-only member_at is called once per cell, and the block totals
-    are added in cell order.  With all indices equal to j this reduces
-    bitwise to riemann_sum(partial(fam.member_at, j), p).  Called by
-    check_criterion1 on a partition of more than 2**11 cells, it runs on a
-    worker thread while the caller's thread evaluates the next partition's
-    gauge, so the family and the gauge must not share unsynchronised
-    mutable state; a smaller partition is summed on the caller's thread.
+    tags[i:j]) evaluates each block of cells, or a scalar-only member_at
+    is called once per cell, and the block totals are added in cell order.
+    With all indices equal to j this reduces bitwise to
+    riemann_sum(partial(fam.member_at, j), p).  Called by
+    check_criterion1, it may run on the sum worker while the caller's
+    thread evaluates the next partition's gauge (see Threads in the
+    package docstring), so the family and the gauge must not share
+    unsynchronised mutable state.
     """
     idx = _positive_indices(indices, len(p))
     return _block_sum(fam.member_at, p, "family member", idx)
@@ -160,20 +171,16 @@ def check_criterion1(
     evidence for the criterion whose conclusion is that the limit function
     integrates to alpha1.
 
-    The index draw and variable-index sum of a partition of more than
-    2**11 cells run on a worker thread while the caller's thread builds the
-    next partition, so the family and selector may run on the worker and
-    the gauge always runs on the caller's thread: they must not share
-    unsynchronised mutable state.  Smaller partitions are summed on the
-    caller's thread, and builds that stay below 2**16 cells start no
-    thread.  Sums follow riemann_sum's block rule.  A seed that is not a
-    non-negative integer raises ValueError before any build, as does a
-    trials that is not an integer >= 1; an eps that is not finite and
-    positive raises InvalidTolerance.
+    The family and the selector may run on the sum worker and the gauge
+    runs on the caller's thread (see Threads in the package docstring), so
+    they must not share unsynchronised mutable state.  Sums follow
+    riemann_sum's block rule.  Before any build, an eps that is not finite
+    and positive raises InvalidTolerance, and a trials that is not an
+    integer >= 1, an alpha1 that is not a real number or a seed that is
+    not a non-negative integer raises ValueError.
     """
-    _check_accuracy("eps", eps)
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise ValueError(f"integer trials >= 1 required, got {trials!r}")
+    eps, trials = _check_run("eps", eps, trials, 1)
+    alpha1 = _real("alpha1", alpha1)
 
     def deviation(i: int, p: TaggedPartition) -> float:
         rng = np.random.default_rng([seed, 2, i])
@@ -196,27 +203,25 @@ def check_criterion2(
     """Sample the fixed-index inequality |alpha2 - sum| < 2*eps.
 
     j_list must be a non-empty 1-d sequence of positive integers
-    (InvalidIndex or LengthMismatch otherwise); choosing them large enough
-    for the criterion's "for every large enough j" is the caller's part.
-    Each j gets its own gauge via gauge_for(j), following the per-index
-    gauge construction, and its cousin partition plus `trials` seeded
-    ones.  A partition of more than 2**11 cells is summed on a worker
-    thread while the caller's thread builds the next one, across j values
-    too, so f_j may run on the worker and gauge_for and its gauges always
-    run on the caller's thread: they must not share unsynchronised mutable
-    state.  Smaller partitions are summed on the caller's thread, and
-    builds that stay below 2**16 cells start no thread.  Sums follow
-    riemann_sum's block rule.  A seed that is not a non-negative integer
-    raises ValueError before any build, as do a trials that is not an
-    integer >= 1 and an empty j_list; an eps that is not finite and
-    positive raises InvalidTolerance.  The acceptance band is 2*eps, the
-    bound the triangle inequality yields.
+    (InvalidIndex otherwise, before any build); choosing
+    them large enough for the criterion's "for every large enough j" is
+    the caller's part.  Each j gets its own gauge via gauge_for(j),
+    following the per-index gauge construction, and its cousin partition
+    plus `trials` seeded ones.  f_j may run on the sum worker, across j
+    values too, and gauge_for and its gauges run on the caller's thread
+    (see Threads in the package docstring), so they must not share
+    unsynchronised mutable state.  Sums follow riemann_sum's block rule.
+    Before any build, an eps that is not finite and positive raises
+    InvalidTolerance, and a trials that is not an integer >= 1, an alpha2
+    that is not a real number or a seed that is not a non-negative integer
+    raises ValueError.  The acceptance band is 2*eps, the bound the
+    triangle inequality yields.
     """
-    _check_accuracy("eps", eps)
-    if not (isinstance(trials, numbers.Integral) and trials >= 1) or len(j_list) == 0:
-        raise ValueError("integer trials >= 1 and a non-empty j_list required")
-    _positive_indices(j_list, len(j_list))
-
+    eps, trials = _check_run("eps", eps, trials, 1)
+    alpha2 = _real("alpha2", alpha2)
+    shape = _positive_indices(j_list).shape
+    if len(shape) != 1 or shape == (0,):
+        raise InvalidIndex(f"need a non-empty j_list of shape (n,), got shape {shape}")
     js = [int(j) for j in j_list]
 
     def deviation(i: int, p: TaggedPartition) -> float:
@@ -233,4 +238,4 @@ def check_criterion3(alpha1: float, alpha2: float, tol: float) -> bool:
     integrals."""
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
         raise InvalidTolerance(f"tol must be finite and >= 0, got {tol}")
-    return abs(alpha1 - alpha2) <= tol
+    return abs(_real("alpha1", alpha1) - _real("alpha2", alpha2)) <= float(tol)

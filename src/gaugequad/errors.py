@@ -50,14 +50,15 @@ class DomainError(GaugeQuadError):
 class LengthMismatch(GaugeQuadError):
     """An array has the wrong shape for its use.
 
-    An index vector is not 1-d with one entry per partition cell (or per
-    j_list entry), or a user callable's result does not broadcast to the
-    shape of the points it was called on.
+    An index vector is not 1-d with one entry per partition cell, or a
+    user callable's result does not broadcast to the shape of the points
+    it was called on.
     """
 
 
 class InvalidIndex(GaugeQuadError, ValueError):
-    """An index or selector threshold is not a positive integer.
+    """An index or selector threshold is not a positive integer, or
+    check_criterion2's j_list is not a non-empty 1-d sequence.
 
     Indices must be finite integers >= 1 (integral floats pass); selector
     thresholds must be at least 1 and below 2**63, so they fit in int64.

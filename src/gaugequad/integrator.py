@@ -63,6 +63,7 @@ class IntegralEstimate:
     tags only at cell ends or at its own split point, so converged is not a
     bound over every delta-fine partition; re-tagging sampled loop-family
     partitions of f at tol 1e-3 moves their sums 5-7 times tol from sin 1.
+    Every field is a builtin float, int or bool.
     """
 
     value: float
@@ -88,6 +89,16 @@ def _check_accuracy(name: str, value: float) -> None:
     positive real number."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
         raise InvalidTolerance(f"{name} must be finite and positive, got {value}")
+
+
+def _check_run(name: str, accuracy: float, trials: int, least: int) -> tuple[float, int]:
+    """(float(accuracy), int(trials)): the one argument check of a sampling
+    call.  InvalidTolerance unless the accuracy argument `name` is finite and
+    positive, then ValueError unless trials is an integer >= least."""
+    _check_accuracy(name, accuracy)
+    if not (isinstance(trials, numbers.Integral) and trials >= least):
+        raise ValueError(f"trials must be an integer >= {least}, got {trials!r}")
+    return float(accuracy), int(trials)
 
 
 def _family(delta: Callable[[np.ndarray, float], np.ndarray]) -> GaugeFamily:
@@ -163,14 +174,13 @@ def _block_sum(f: Callable, p: TaggedPartition, what: str, *lead: np.ndarray) ->
 def riemann_sum(f: RealFunction, p: TaggedPartition) -> float:
     """(P) sum of f(tag) * |cell| over the partition.
 
-    Follows the block rule of _block_sum: f is called on one block of at
-    most 2**16 tags at a time, or once per tag if it is scalar-only, and
-    the block totals are added in cell order, so the result does not
+    Follows the block rule of _block_sum: f is called on one block of a
+    fixed number of tags at a time, or once per tag if it is scalar-only,
+    and the block totals are added in cell order, so the result does not
     depend on BLAS or its thread count.  Called by gauge_integrate or a
-    criterion checker on a partition of more than 2**11 cells, it runs on
-    a worker thread while the caller's thread evaluates the gauge for the
-    next partition, so f and the gauge must not share unsynchronised
-    mutable state; a smaller partition is summed on the caller's thread.
+    criterion checker, it may run on the sum worker while the caller's
+    thread evaluates the gauge (see Threads in the package docstring), so
+    f and the gauge must not share unsynchronised mutable state.
     """
     return _block_sum(f, p, "integrand")
 
@@ -263,15 +273,9 @@ def gauge_integrate(
     independent.  A seed that is not a non-negative integer raises
     ValueError before any build.
 
-    The sum of a partition of more than 2**11 cells runs on a worker
-    thread while the caller's thread builds the next partition, so f may
-    run on the worker and the gauge always runs on the caller's thread: the
-    two must not share unsynchronised mutable state.  Smaller partitions
-    are summed on the caller's thread, so a level whose partitions stay at
-    or below 2**11 cells starts no thread (nor do their builds, see
-    random_delta_fine_partition).  The
-    caller's np.errstate applies to both.  Sums follow riemann_sum's block
-    rule.
+    f may run on the sum worker and the gauge runs on the caller's thread
+    (see Threads in the package docstring), so the two must not share
+    unsynchronised mutable state.  Sums follow riemann_sum's block rule.
 
     Returns converged=False (with the last completed estimate) when the
     gauge family outruns float representability before the sums settle.
@@ -279,9 +283,7 @@ def gauge_integrate(
     InvalidTolerance for a tol that is not finite and positive, and
     ValueError before any build for a trials that is not an integer >= 2.
     """
-    _check_accuracy("tol", tol)
-    if not (isinstance(trials, numbers.Integral) and trials >= 2):
-        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
+    tol, trials = _check_run("tol", tol, trials, 2)
 
     last: IntegralEstimate | None = None
     eps = tol

@@ -335,8 +335,8 @@ def figure_samples(which, x_min: float, x_max: float, count: int):
         raise DomainError(f"unknown figure {which!r}")
     if not 0.0 < x_min < x_max <= 1.0:
         raise DomainError(f"need 0 < x_min < x_max <= 1, got [{x_min}, {x_max}]")
-    if count < 2:
-        raise DomainError(f"count must be >= 2, got {count}")
+    if not (isinstance(count, (int, np.integer)) and count >= 2):
+        raise DomainError(f"count must be an integer >= 2, got {count!r}")
     xs = np.linspace(x_min, x_max, count)
     with np.errstate(all="ignore"):
         ys = _eval_points(_FIGURES[name], xs, np.isfinite, DomainError, name, "not finite")

@@ -180,10 +180,8 @@ class TaggedPartition:
     def __init__(self, tags, points) -> None:
         tags = np.ascontiguousarray(tags, dtype=float)
         points = np.ascontiguousarray(points, dtype=float)
-        if not (tags.ndim == 1 and points.shape == (tags.size + 1,)):
-            raise ValueError("need 1-d tags and 1-d points with one more entry")
-        if tags.size == 0:
-            raise ValueError("partition must contain at least one cell")
+        if not (tags.ndim == 1 and tags.size > 0 and points.shape == (tags.size + 1,)):
+            raise ValueError("need at least one cell: 1-d tags and 1-d points with one more entry")
         domain = Interval(float(points[0]), float(points[-1]))
         if not np.all(points[:-1] < points[1:]):
             raise ValueError("every cell must have positive length")
@@ -194,14 +192,6 @@ class TaggedPartition:
         self.domain = domain
         self.tags = tags
         self.points = points
-
-    @property
-    def lefts(self) -> np.ndarray:
-        return self.points[:-1]
-
-    @property
-    def rights(self) -> np.ndarray:
-        return self.points[1:]
 
     def __len__(self) -> int:
         return self.tags.size
@@ -216,7 +206,7 @@ class TaggedPartition:
 def is_delta_fine(p: TaggedPartition, g: Gauge) -> bool:
     """True iff tag - left < delta(tag) and right - tag < delta(tag), all cells."""
     d = g.eval_many(p.tags)
-    return bool(np.all(p.tags - p.lefts < d) and np.all(p.rights - p.tags < d))
+    return bool(np.all(p.tags - p.points[:-1] < d) and np.all(p.points[1:] - p.tags < d))
 
 
 def _build_fine(
@@ -446,13 +436,9 @@ def random_delta_fine_partition(
     ints such as (seed, level, trial).  An entry that is not a non-negative
     integer raises ValueError before the build starts.
 
-    The draws of each bisection level of at least 2**16 cells, and the
-    final tag sort of a partition of at least 2**16 cells, run on one
-    helper thread while this thread gathers cells and evaluates the gauge;
-    smaller levels and sorts run on this thread, so a build that stays
-    below that size starts no thread.  The gauge is only ever called from
-    the calling thread, and the helper is joined before this returns or
-    raises.
+    A large build makes its draws and its tag sort on a helper thread, but
+    the gauge runs only on the calling thread (see Threads in the package
+    docstring).
     """
     _check_seed(seed)
     return TaggedPartition(*_build_fine(domain, g, np.random.default_rng(seed)))

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 import time
@@ -517,6 +519,16 @@ def test_summed_partition_is_freed_while_the_next_one_builds(monkeypatch, run):
     assert all(freed)
 
 
+def _counting_builds(monkeypatch):
+    """A list that records every `_build_fine` call from here on."""
+    from gaugequad import partition
+
+    builds = []
+    build = partition._build_fine
+    monkeypatch.setattr(partition, "_build_fine", lambda *a: builds.append(a) or build(*a))
+    return builds
+
+
 def _seeded_entry_points():
     fam, sel = paper_family(), osc.index_selector()
     return {
@@ -543,11 +555,7 @@ def _seeded_entry_points():
     + [(entry, s) for s in (1.5, None, [0, 2.5]) for entry in _seeded_entry_points()],
 )
 def test_negative_seed_raises_before_any_build(monkeypatch, entry, seed):
-    from gaugequad import partition
-
-    builds = []
-    build = partition._build_fine
-    monkeypatch.setattr(partition, "_build_fine", lambda *a: builds.append(a) or build(*a))
+    builds = _counting_builds(monkeypatch)
     call = _seeded_entry_points()[entry]
     with pytest.raises(ValueError, match=r"seed .*" + re.escape(repr(seed))):
         call(seed)
@@ -575,17 +583,106 @@ def _trials_entry_points():
 @pytest.mark.parametrize("trials", [2.5, "3"])
 @pytest.mark.parametrize("entry", _trials_entry_points())
 def test_non_integer_trials_raises_before_any_build(monkeypatch, entry, trials):
-    from gaugequad import partition
-
-    builds = []
-    build = partition._build_fine
-    monkeypatch.setattr(partition, "_build_fine", lambda *a: builds.append(a) or build(*a))
+    builds = _counting_builds(monkeypatch)
     call = _trials_entry_points()[entry]
     with pytest.raises(ValueError, match="trials"):
         call(trials)
     assert builds == []
     call(2)  # the same call with an integer trials builds
     assert builds
+
+
+@pytest.mark.parametrize(
+    "j_list",
+    [5, (j for j in [2, 3]), [], [[40]], [[2, 3]]],
+    ids=["scalar", "generator", "empty", "2-d", "row"],
+)
+def test_bad_j_list_raises_invalid_index_before_any_build(monkeypatch, j_list):
+    # a scalar or a generator fails the index rule, not a len() call
+    builds = _counting_builds(monkeypatch)
+    gauges = []
+    with pytest.raises(InvalidIndex, match="j_list|positive integers"):
+        check_criterion2(
+            paper_family(), gauge_for=lambda j: gauges.append(j) or const_gauge(0.1),
+            alpha2=SIN1, eps=1e-2, j_list=j_list, trials=2, seed=0,
+        )
+    assert builds == [] and gauges == []
+
+
+def _alpha_entry_points():
+    fam, sel = paper_family(), osc.index_selector()
+    return {
+        "criterion1": lambda a: check_criterion1(
+            fam, osc.loop_gauge_family(), sel, alpha1=a, eps=1e-2, trials=2, seed=0,
+        ),
+        "criterion2": lambda a: check_criterion2(
+            fam, gauge_for=lambda j: const_gauge(0.1), alpha2=a, eps=1e-2,
+            j_list=[2, 3], trials=2, seed=0,
+        ),
+        "criterion3": lambda a: check_criterion3(a, SIN1, 1e-2),
+    }
+
+
+@pytest.mark.parametrize("alpha", ["0.84", 1j, None])
+@pytest.mark.parametrize("entry", _alpha_entry_points())
+def test_alpha_that_is_not_real_raises_before_any_build(monkeypatch, entry, alpha):
+    # a numeric string is rejected, not parsed, as the index rule does
+    builds = _counting_builds(monkeypatch)
+    with pytest.raises(ValueError, match=r"alpha\d must be a real number"):
+        _alpha_entry_points()[entry](alpha)
+    assert builds == []
+
+
+def _builtin_fields(result):
+    fields = dataclasses.asdict(result)
+    json.dumps(fields)
+    return {k: type(v) for k, v in fields.items()}
+
+
+def test_numpy_typed_arguments_give_builtin_typed_results():
+    # np.float32 accuracies and alphas and np.int64 trials must not leak into
+    # the results, which the CLI prints through asdict and json.dumps
+    f32, i64 = np.float32, np.int64
+    est = gauge_integrate(lambda x: x, smooth_gauge_family(), UNIT, f32(1e-3), trials=i64(3))
+    assert _builtin_fields(est) == dict(
+        value=float, spread=float, cells_used=int, trials=int, converged=bool
+    )
+    assert est.trials == 3 and est.converged
+    fam = paper_family()
+    reports = [
+        check_criterion1(
+            fam, osc.loop_gauge_family(), osc.index_selector(),
+            alpha1=f32(SIN1), eps=f32(1e-2), trials=i64(2), seed=i64(0),
+        ),
+        check_criterion2(
+            fam, gauge_for=lambda j: osc.truncated_gauge_family(j).at(5e-3),
+            alpha2=f32(SIN1), eps=f32(1e-2), j_list=np.array([11, 20]), trials=i64(2),
+            seed=i64(0),
+        ),
+    ]
+    for rep in reports:
+        assert _builtin_fields(rep) == dict(
+            alpha=float, epsilon=float, trials=int, violations=int,
+            worst_deviation=float, passed=bool,
+        )
+        assert rep.alpha == float(f32(SIN1)) and rep.epsilon == float(f32(1e-2))
+    # Deviations are taken in float64 from the float32 alpha's value.  Under
+    # a gauge of 1 every partition of [0, 1] is one cell, so each sum of the
+    # constant 1 is exactly 1.0; float32 arithmetic would give 0.89999998.
+    ones = IntegrandFamily(lambda j, x: np.ones_like(x), UNIT)
+    for rep in [
+        check_criterion1(
+            ones, GaugeFamily(lambda eps: const_gauge(1.0)), IndexSelector(np.ones_like),
+            alpha1=f32(0.1), eps=f32(1.0), trials=2, seed=0,
+        ),
+        check_criterion2(
+            ones, gauge_for=lambda j: const_gauge(1.0),
+            alpha2=f32(0.1), eps=f32(1.0), j_list=[1], trials=2, seed=0,
+        ),
+    ]:
+        assert rep.worst_deviation == abs(float(f32(0.1)) - 1.0) == 0.8999999985098839
+    for args in [(f32(SIN1), f32(SIN1), f32(0.0)), (np.float64(1.0), 0.5, np.float64(0.1))]:
+        assert type(check_criterion3(*args)) is bool
 
 
 def test_criterion2_is_deterministic():
@@ -719,7 +816,7 @@ def test_criterion3_cases():
 
 def build_with_gauge(wrap):
     p = cousin_partition(UNIT, Gauge(wrap(lambda x: 0.02 + x / 8.0)))
-    return p.tags.tolist(), p.lefts.tolist(), p.rights.tolist()
+    return p.tags.tolist(), p.points[:-1].tolist(), p.points[1:].tolist()
 
 
 def check_with_threshold(wrap):

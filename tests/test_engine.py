@@ -261,8 +261,8 @@ def test_partitions_are_fine_abutting_ordered_and_seed_deterministic(
         p, q = build(domain, g, s), build(domain, g, s)
         assert is_delta_fine(p, g)
         assert p.domain == domain
-        assert np.all(p.lefts < p.rights)
-        assert np.all((p.lefts <= p.tags) & (p.tags <= p.rights))
+        assert np.all(p.points[:-1] < p.points[1:])
+        assert np.all((p.points[:-1] <= p.tags) & (p.tags <= p.points[1:]))
         for arr in ("tags", "points"):
             assert getattr(p, arr).tobytes() == getattr(q, arr).tobytes()
 

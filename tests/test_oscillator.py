@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -706,3 +707,11 @@ def test_figure_samples_rejects_bad_ranges():
         osc.figure_samples("fig1", 0.1, 1.0, 1)
     with pytest.raises(DomainError):
         osc.figure_samples("fig9", 0.1, 1.0, 10)
+
+
+@pytest.mark.parametrize("count", [2.5, "3", None])
+def test_figure_samples_rejects_a_count_that_is_not_an_integer(count):
+    # a typed error, not numpy's TypeError from linspace or one from `<`
+    with pytest.raises(DomainError, match=r"count must be an integer >= 2, got " + re.escape(repr(count))):
+        osc.figure_samples("fig1", 0.1, 0.9, count)
+    assert len(osc.figure_samples("fig1", 0.1, 0.9, np.int64(3))) == 3

@@ -47,7 +47,7 @@ def test_partition_validates_cover_and_abutment():
     # cells abut and span [points[0], points[-1]] by construction
     p = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
     assert p.domain == Interval(0.0, 1.0)
-    assert p.lefts.tolist() == [0.0, 0.5] and p.rights.tolist() == [0.5, 1.0]
+    assert p.points[:-1].tolist() == [0.0, 0.5] and p.points[1:].tolist() == [0.5, 1.0]
     bad = {
         "zero-length cell": ([0.5, 0.5], [0.0, 0.5, 0.5]),
         "non-increasing points": ([0.3, 0.55, 0.8], [0.0, 0.6, 0.5, 1.0]),
@@ -68,7 +68,7 @@ def test_partition_validates_cover_and_abutment():
 
 def test_partition_arrays_are_readonly():
     p = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
-    for arr in (p.tags, p.points, p.lefts, p.rights):
+    for arr in (p.tags, p.points, p.points[:-1], p.points[1:]):
         with pytest.raises(ValueError):
             arr[0] = 0.1
 
@@ -236,8 +236,8 @@ def test_cousin_is_deterministic():
     p1 = cousin_partition(Interval(0.0, 1.0), g)
     p2 = cousin_partition(Interval(0.0, 1.0), g)
     assert np.array_equal(p1.tags, p2.tags)
-    assert np.array_equal(p1.lefts, p2.lefts)
-    assert np.array_equal(p1.rights, p2.rights)
+    assert np.array_equal(p1.points[:-1], p2.points[:-1])
+    assert np.array_equal(p1.points[1:], p2.points[1:])
 
 
 def test_cousin_depth_exceeded_for_unrepresentable_gauge(monkeypatch):
@@ -251,7 +251,7 @@ def test_cousin_arbitrary_domain():
     dom = Interval(-2.0, 3.5)
     p = cousin_partition(dom, g)
     assert is_delta_fine(p, g)
-    assert p.lefts[0] == dom.a and p.rights[-1] == dom.b
+    assert p.points[:-1][0] == dom.a and p.points[1:][-1] == dom.b
 
 
 # ------------------------------------------- random_delta_fine_partition
@@ -262,12 +262,12 @@ def test_random_partition_is_fine_and_seed_deterministic():
     p2 = random_delta_fine_partition(Interval(0.0, 1.0), g, seed=42)
     assert is_delta_fine(p1, g)
     assert np.array_equal(p1.tags, p2.tags)
-    assert np.array_equal(p1.lefts, p2.lefts)
+    assert np.array_equal(p1.points[:-1], p2.points[:-1])
     p3 = random_delta_fine_partition(Interval(0.0, 1.0), g, seed=43)
     assert not (
         len(p3) == len(p1)
         and np.array_equal(p3.tags, p1.tags)
-        and np.array_equal(p3.lefts, p1.lefts)
+        and np.array_equal(p3.points[:-1], p1.points[:-1])
     )
 
 
