@@ -4,10 +4,10 @@ Subcommands: integrate (built-in integrand menu), figures (CSV samples of
 the four hallmark curves), loops (root/area table with divergence
 bookkeeping), converge (criterion checkers), demo (headline walkthrough).
 
-Exit codes: 0 success, 1 usage error (including an --out that cannot be
-written and a loops --n-max over its cap), 2 non-convergence (including a
-gauge too fine for the bisection depth and a solve that runs out of
-memory) or failed check.
+Every command writes its output to stdout, once, after its work is done.
+Exit codes: 0 success, 1 usage error (including a loops --n-max over its
+cap), 2 non-convergence (including a gauge too fine for the bisection depth
+and a solve that runs out of memory) or failed check.
 CSV output uses 17 significant digits so doubles round-trip; identical
 configurations (including seed) produce byte-identical output.
 """
@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import functools
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -68,7 +66,6 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         if formats:
             p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--out", type=str, default=None)
 
     p_int = sub.add_parser("integrate", help="integrate a built-in function")
     p_int.add_argument("function", choices=("f", "fj", "F-defect") + _POLY_NAMES)
@@ -80,12 +77,10 @@ def build_parser() -> _Parser:
     p_fig.add_argument("--x-min", type=float, default=0.01)
     p_fig.add_argument("--x-max", type=float, default=1.0)
     p_fig.add_argument("--count", type=int, default=1000)
-    p_fig.add_argument("--out", type=str, default=None)
 
     p_loops = sub.add_parser("loops", help="loop root/area table")
     p_loops.add_argument("--n-max", type=int, default=20)
     p_loops.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p_loops.add_argument("--out", type=str, default=None)
 
     p_conv = sub.add_parser("converge", help="run convergence-criterion checkers")
     p_conv.add_argument("which", choices=("1", "2", "3", "all"))
@@ -129,27 +124,6 @@ def _validate(ns) -> None:
             raise _UsageError("--n-max must be >= 2")
         if ns.n_max > 10**6:  # 10**6 rows take 0.7-1.0 GB and 8-14 s, 10**7 about 10 GB
             raise _UsageError("--n-max must be <= 1000000")
-    if ns.out:  # before the solve, creating nothing; _emit still reports a failed write
-        folder = os.path.dirname(ns.out) or "."
-        reason = (
-            errno.EISDIR if os.path.isdir(ns.out)
-            else errno.ENOENT if not os.path.isdir(folder)
-            else errno.EACCES if not os.access(ns.out if os.path.exists(ns.out) else folder, os.W_OK)
-            else None
-        )
-        if reason:
-            raise _UsageError(f"cannot write --out {ns.out}: {os.strerror(reason)}")
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if not out:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _render(payloads: list, fmt: str, csv_keys: Sequence[str]) -> str:
@@ -200,21 +174,18 @@ def _solve(ns, function: str, j: Optional[int] = None):
     return est, oracle, error, EXIT_OK if est.converged and error <= ns.tol else EXIT_NOT_CONVERGED
 
 
-def cmd_integrate(ns) -> int:
+def cmd_integrate(ns) -> tuple[str, int]:
     est, oracle, error, code = _solve(ns, ns.function, ns.j)
     payload = dict(function=ns.function, **dataclasses.asdict(est), oracle=oracle, abs_error=error)
-    _emit(_render([payload], ns.format, list(payload)), ns.out)
-    return code
+    return _render([payload], ns.format, list(payload)), code
 
 
-def cmd_figures(ns) -> int:
+def cmd_figures(ns) -> tuple[str, int]:
     rows = oscillator.figure_samples(f"fig{ns.which}", ns.x_min, ns.x_max, ns.count)
-    text = "x,y\n" + "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in rows)
-    _emit(text, ns.out)
-    return EXIT_OK
+    return "x,y\n" + "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in rows), EXIT_OK
 
 
-def cmd_loops(ns) -> int:
+def cmd_loops(ns) -> tuple[str, int]:
     n = np.arange(1, ns.n_max + 1)
     area = oscillator.loop_area_estimate(n)
     is_even = n % 2 == 0
@@ -248,11 +219,10 @@ def cmd_loops(ns) -> int:
         lines = ["  ".join(f"{h:>20}" for h in header)]
         lines += [f"{r[0]:>20d}  " + "  ".join(f"{v:>20.12g}" for v in r[1:]) for r in rows]
         text = "\n".join([*lines, footer_even, footer_bracket]) + "\n"
-    _emit(text, ns.out)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def cmd_converge(ns) -> int:
+def cmd_converge(ns) -> tuple[str, int]:
     sin1 = oscillator.exact_integral_f()
     fam = oscillator.integrand_family()
     payloads = []
@@ -285,11 +255,11 @@ def cmd_converge(ns) -> int:
             dict(criterion="criterion3", alpha1=sin1, alpha2=sin1, tol=1e-9, passed=agree)
         )
     keys = sorted({k for p in payloads for k in p})
-    _emit(_render(payloads, ns.format, keys), ns.out)
-    return EXIT_OK if all(p["passed"] for p in payloads) else EXIT_NOT_CONVERGED
+    code = EXIT_OK if all(p["passed"] for p in payloads) else EXIT_NOT_CONVERGED
+    return _render(payloads, ns.format, keys), code
 
 
-def cmd_demo(ns) -> int:
+def cmd_demo(ns) -> tuple[str, int]:
     est, sin1, error, code = _solve(ns, "f")
     lines = [
         "gauge integral of 2x sin(1/x^2) - (2/x) cos(1/x^2) on [0, 1]",
@@ -310,8 +280,7 @@ def cmd_demo(ns) -> int:
         "limit comparison: alpha1 = alpha2 = sin 1 -> "
         f"{check_criterion3(sin1, sin1, 1e-9)}"
     )
-    _emit("\n".join(lines) + "\n", ns.out)
-    return code
+    return "\n".join(lines) + "\n", code
 
 
 _COMMANDS = {
@@ -327,13 +296,15 @@ def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
         _validate(ns)
-        return _COMMANDS[ns.command](ns)
+        text, code = _COMMANDS[ns.command](ns)
     except (_UsageError, GaugeQuadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED if isinstance(exc, DepthExceeded) else EXIT_USAGE
     except MemoryError as exc:  # numpy's _ArrayMemoryError too, from either thread
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidIndex, InvalidTolerance, LengthMismatch
 from .integrator import _block_sum, _check_run, _sample, riemann_sum
-from .partition import Gauge, Interval, TaggedPartition, _eval_points
+from .partition import Gauge, Interval, TaggedPartition, _eval_points, _float
 
 __all__ = [
     "IntegrandFamily",
@@ -88,22 +88,27 @@ def _report(alpha: float, eps: float, band: float, devs: list[float]) -> Criteri
 
 
 def _real(name: str, value: float) -> float:
-    """float(value); ValueError naming `name` unless it is a real number,
-    so a string is rejected, not parsed."""
-    if not isinstance(value, numbers.Real):
+    """value as a float, read by `_float`, so a string is rejected, not
+    parsed, and an int past the float range is an infinity; ValueError
+    naming `name` unless it is a real number."""
+    v = _float(value)
+    if v is None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    return v
 
 
 def _positive_indices(indices, n: int | None = None) -> np.ndarray:
     """indices as an array, each a finite integer >= 1: the one index rule.
 
     Integral floats and Python ints beyond the int64 range pass; any other
-    value, such as a string or a complex number, raises InvalidIndex.
-    Given n, indices must also be a 1-d array of exactly n entries, and
-    LengthMismatch is raised otherwise.
+    value, such as a string or a complex number, raises InvalidIndex, as
+    does a ragged sequence.  Given n, indices must also be a 1-d array of
+    exactly n entries, and LengthMismatch is raised otherwise.
     """
-    arr = np.asarray(indices)
+    try:
+        arr = np.asarray(indices)
+    except ValueError:  # a ragged sequence
+        raise InvalidIndex("indices must be positive integers, got a ragged sequence") from None
     if n is not None and arr.shape != (n,):
         raise LengthMismatch(f"expected {n} indices, got shape {arr.shape}")
     try:  # an object array holds Python ints beyond the int64 and uint64 range; it is
@@ -236,6 +241,7 @@ def check_criterion3(alpha1: float, alpha2: float, tol: float) -> bool:
     """True iff the two limits agree within tol: then limit and integral
     interchange, i.e. the integral of the limit equals the limit of the
     integrals."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
+    t = _float(tol)
+    if t is None or not (math.isfinite(t) and t >= 0.0):
         raise InvalidTolerance(f"tol must be finite and >= 0, got {tol}")
-    return abs(_real("alpha1", alpha1) - _real("alpha2", alpha2)) <= float(tol)
+    return abs(_real("alpha1", alpha1) - _real("alpha2", alpha2)) <= t

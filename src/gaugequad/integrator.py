@@ -24,6 +24,7 @@ from .partition import (
     TaggedPartition,
     _check_seed,
     _eval_points,
+    _float,
     cousin_partition,
 )
 # An alias, not a direct call, because bench/tracer.py rebinds this name.
@@ -84,21 +85,23 @@ class GaugeFamily:
     at: Callable[[float], Gauge]
 
 
-def _check_accuracy(name: str, value: float) -> None:
-    """InvalidTolerance unless the accuracy argument `name` is a finite,
-    positive real number."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+def _check_accuracy(name: str, value: float) -> float:
+    """The accuracy argument `name` as a float, read by `_float`;
+    InvalidTolerance unless it is a finite, positive real number."""
+    v = _float(value)
+    if v is None or not (math.isfinite(v) and v > 0.0):
         raise InvalidTolerance(f"{name} must be finite and positive, got {value}")
+    return v
 
 
 def _check_run(name: str, accuracy: float, trials: int, least: int) -> tuple[float, int]:
     """(float(accuracy), int(trials)): the one argument check of a sampling
     call.  InvalidTolerance unless the accuracy argument `name` is finite and
     positive, then ValueError unless trials is an integer >= least."""
-    _check_accuracy(name, accuracy)
+    accuracy = _check_accuracy(name, accuracy)
     if not (isinstance(trials, numbers.Integral) and trials >= least):
         raise ValueError(f"trials must be an integer >= {least}, got {trials!r}")
-    return float(accuracy), int(trials)
+    return accuracy, int(trials)
 
 
 def _family(delta: Callable[[np.ndarray, float], np.ndarray]) -> GaugeFamily:
@@ -110,7 +113,7 @@ def _family(delta: Callable[[np.ndarray, float], np.ndarray]) -> GaugeFamily:
     """
 
     def at(eps: float) -> Gauge:
-        _check_accuracy("eps", eps)
+        eps = _check_accuracy("eps", eps)
         return Gauge(lambda x: delta(x, eps))
 
     return GaugeFamily(at)
@@ -189,12 +192,16 @@ def sum_defect(F: RealFunction, f: RealFunction, p: TaggedPartition) -> float:
     """|(F(b) - F(a)) - riemann_sum(f, p)| for a claimed primitive F of f.
 
     This is the quantity the telescoping derivation bounds by eps for
-    partitions fine with respect to an eps-accuracy gauge.
+    partitions fine with respect to an eps-accuracy gauge.  F is evaluated
+    once, on both ends, by the rule of every user callable, so a value that
+    is not finite raises NonFiniteValue naming its end.  An increment
+    F(b) - F(a) past the float range raises NonFiniteValue too.
     """
-    a, b = p.domain.a, p.domain.b
-    increment = float(F(b)) - float(F(a))
+    ends = p.points[[0, -1]]
+    Fa, Fb = _eval_points(F, ends, np.isfinite, NonFiniteValue, "primitive", "non-finite").tolist()
+    increment = Fb - Fa
     if not math.isfinite(increment):
-        raise NonFiniteValue("primitive non-finite at a domain endpoint")
+        raise NonFiniteValue(f"primitive increment leaves the float range: {increment}")
     return abs(increment - riemann_sum(f, p))
 
 

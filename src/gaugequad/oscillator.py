@@ -25,7 +25,7 @@ import numpy as np
 from .criteria import IndexSelector, IntegrandFamily, _positive_indices
 from .errors import DomainError
 from .integrator import GaugeFamily, _family
-from .partition import Interval, _eval_points
+from .partition import Interval, _eval_points, _float
 
 __all__ = [
     "f",
@@ -327,17 +327,20 @@ def figure_samples(which, x_min: float, x_max: float, count: int):
     fig1: 2x sin(1/x^2)        fig2: (2/x) cos(1/x^2)
     fig3: fig1 - fig2 (= f)    fig4: x^2 sin(1/x^2) (= F)
 
-    Raises DomainError naming the first sampled x whose value is not
-    finite: below x ~ 7.46e-155, 1/x^2 overflows and every curve is nan.
+    x_min and x_max are read as floats by `_float`; one that is not a real
+    number raises DomainError, as does a range outside (0, 1].  Raises
+    DomainError naming the first sampled x whose value is not finite:
+    below x ~ 7.46e-155, 1/x^2 overflows and every curve is nan.
     """
     name = f"fig{which}" if not str(which).startswith("fig") else str(which)
     if name not in _FIGURES:
         raise DomainError(f"unknown figure {which!r}")
-    if not 0.0 < x_min < x_max <= 1.0:
-        raise DomainError(f"need 0 < x_min < x_max <= 1, got [{x_min}, {x_max}]")
+    lo, hi = _float(x_min), _float(x_max)
+    if lo is None or hi is None or not 0.0 < lo < hi <= 1.0:
+        raise DomainError(f"need 0 < x_min < x_max <= 1, got [{x_min!r}, {x_max!r}]")
     if not (isinstance(count, (int, np.integer)) and count >= 2):
         raise DomainError(f"count must be an integer >= 2, got {count!r}")
-    xs = np.linspace(x_min, x_max, count)
+    xs = np.linspace(lo, hi, count)
     with np.errstate(all="ignore"):
         ys = _eval_points(_FIGURES[name], xs, np.isfinite, DomainError, name, "not finite")
     return list(zip(xs.tolist(), ys.tolist()))

@@ -56,18 +56,25 @@ _DRAW_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class Interval:
-    """A nondegenerate compact interval [a, b]."""
+    """A nondegenerate compact interval [a, b] of real end points.
+
+    The ends are stored as the floats `_float` reads.  An end point that is
+    not a real number, a numeric string included, raises ValueError, as
+    does one past the float range.
+    """
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.b - self.a):
-            raise ValueError(
-                f"interval endpoints and length must be finite, got [{self.a}, {self.b}]"
-            )
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        a, b = _float(self.a), _float(self.b)
+        if a is None or b is None:
+            raise ValueError(f"interval endpoints must be real numbers, got {self.a!r}, {self.b!r}")
+        if not math.isfinite(b - a):
+            raise ValueError(f"interval endpoints and length must be finite, got [{a}, {b}]")
+        if not a < b:
+            raise ValueError(f"interval requires a < b, got [{a}, {b}]")
+        vars(self).update(a=a, b=b)  # past the frozen dataclass's __setattr__
 
 
 def _eval_points(
@@ -83,22 +90,26 @@ def _eval_points(
     entry of each lead array before the point.  Either result is then
     converted once.  A result of another shape must broadcast to xs's
     shape, and is then copied, not returned as a read-only stride-0 view;
-    any other shape raises LengthMismatch naming both.  A value that is not
-    a real number, such as a complex value with a nonzero imaginary part,
-    a string, even "1.0", or an object that float() rejects, raises
-    error(f"{what} not real at x=...") at the first such point; then the
-    values are coerced to dtype.  An object or string result is converted
-    entry by entry with `_float`, so an integer past the float range
-    becomes an infinity.  dtype=None keeps a numeric result's own dtype, so
-    ok sees the values before any cast, and an array of xs's shape comes
-    back without a copy.  ok maps the values to a bool mask, and the first
-    point where it is false raises error(f"{what} {bad} at x=...").
+    any other shape, and a ragged result, raises LengthMismatch after the
+    one call.  A value that is not a real number, such as a complex value
+    with a nonzero imaginary part, a string, even "1.0", or an object that
+    float() rejects, raises error(f"{what} not real at x=...") at the
+    first such point; then the values are coerced to dtype.  An object or
+    string result is converted entry by entry with `_float`, so an integer
+    past the float range becomes an infinity.  dtype=None keeps a numeric
+    result's own dtype, so ok sees the values before any cast, and an array
+    of xs's shape comes back without a copy.  ok maps the values to a bool
+    mask, and the first point where it is false raises
+    error(f"{what} {bad} at x=...").
     """
     try:
         out = fn(*lead, xs)
     except (TypeError, ValueError):
         out = [fn(*at, float(x)) for *at, x in zip(*lead, xs)]
-    out = np.asarray(out)
+    try:
+        out = np.asarray(out)
+    except ValueError:  # a ragged result
+        raise LengthMismatch(f"a ragged result does not broadcast to shape {xs.shape}") from None
     if out.shape != xs.shape:
         try:
             out = np.broadcast_to(out, xs.shape).copy()

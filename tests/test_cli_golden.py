@@ -11,6 +11,9 @@ for the one call, as in a shell.  Regenerate the file, only when an output
 change is intended, with
 
     python tests/test_cli_golden.py --write
+
+It runs the matrix in the same pinned subprocess as the test, with
+COLUMNS=80, since argparse wraps help text to the terminal width.
 """
 import contextlib
 import io
@@ -20,6 +23,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "cli_golden.json"
@@ -65,6 +70,7 @@ _USAGE_ERRORS = [
     ["figures", "1", "--count", "1"],
     ["loops", "--n-max", "1"],
     ["loops", "--n-max", "x"],
+    ["loops", "--n-max", "3", "--out", "x.txt"],  # a removed flag
     ["converge"],
     ["converge", "4"],
     ["converge", "1", "--eps", "-1"],
@@ -122,7 +128,9 @@ def run_matrix() -> dict:
     return results
 
 
-def test_cli_output_matches_golden():
+def pinned_matrix() -> dict:
+    """run_matrix in a subprocess with BLAS and OpenMP at one thread and
+    COLUMNS=80, whatever the caller's environment says."""
     env = dict(
         os.environ,
         OPENBLAS_NUM_THREADS="1",
@@ -135,17 +143,29 @@ def test_cli_output_matches_golden():
         [sys.executable, str(Path(__file__).resolve())],
         env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    if proc.returncode != 0:
+        raise RuntimeError(f"matrix run failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def test_cli_output_matches_golden(monkeypatch, capsys):
+    from gaugequad.cli import main
+
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    monkeypatch.setenv("COLUMNS", "120")
+    # argparse wraps help to COLUMNS, so in this process the text differs;
+    # the matrix's subprocess pins COLUMNS=80
+    with pytest.raises(SystemExit):
+        main(["integrate", "--help"])
+    assert capsys.readouterr().out != expected["integrate --help"]["stdout"]
+    got = pinned_matrix()
     assert list(got) == list(expected)
     for key, want in expected.items():
         assert got[key] == want, key
 
 
 if __name__ == "__main__":
-    matrix = run_matrix()
     if sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(json.dumps(matrix, indent=1) + "\n", encoding="utf-8")
+        GOLDEN.write_text(json.dumps(pinned_matrix(), indent=1) + "\n", encoding="utf-8")
     else:
-        print(json.dumps(matrix))
+        print(json.dumps(run_matrix()))

@@ -143,6 +143,8 @@ def test_variable_index_sum_validates_lengths_and_values():
         variable_index_sum(fam, np.ones((len(p), 1), dtype=int), p)
     with pytest.raises(InvalidIndex):
         variable_index_sum(fam, np.zeros(len(p), dtype=int), p)
+    with pytest.raises(InvalidIndex, match="ragged"):  # not numpy's "inhomogeneous shape"
+        variable_index_sum(fam, [[1], [2, 3]], p)
     for bad in (2.5, np.nan, np.inf, 10**400, "3", 1j):
         with pytest.raises(InvalidIndex, match="positive integers"):
             variable_index_sum(fam, np.full(len(p), bad), p)
@@ -594,8 +596,8 @@ def test_non_integer_trials_raises_before_any_build(monkeypatch, entry, trials):
 
 @pytest.mark.parametrize(
     "j_list",
-    [5, (j for j in [2, 3]), [], [[40]], [[2, 3]]],
-    ids=["scalar", "generator", "empty", "2-d", "row"],
+    [5, (j for j in [2, 3]), [], [[40]], [[2, 3]], [[1], [2, 3]]],
+    ids=["scalar", "generator", "empty", "2-d", "row", "ragged"],
 )
 def test_bad_j_list_raises_invalid_index_before_any_build(monkeypatch, j_list):
     # a scalar or a generator fails the index rule, not a len() call
@@ -631,6 +633,14 @@ def test_alpha_that_is_not_real_raises_before_any_build(monkeypatch, entry, alph
     with pytest.raises(ValueError, match=r"alpha\d must be a real number"):
         _alpha_entry_points()[entry](alpha)
     assert builds == []
+
+
+@pytest.mark.parametrize("entry", _alpha_entry_points())
+def test_alpha_past_the_float_range_behaves_as_infinity(entry):
+    # read as float("inf"), not an OverflowError from float()
+    run = _alpha_entry_points()[entry]
+    assert run(10**400) == run(math.inf)
+    assert run(-(10**400)) == run(-math.inf)
 
 
 def _builtin_fields(result):

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gaugequad import (
     GaugeFamily,
     Interval,
     InvalidTolerance,
+    LengthMismatch,
     NonFiniteValue,
     TaggedPartition,
     check_criterion3,
@@ -131,8 +133,47 @@ def test_sum_defect_zero_functions():
 @pytest.mark.parametrize("end", [0.0, 1.0])
 def test_sum_defect_rejects_a_primitive_non_finite_at_a_domain_end(end):
     F = lambda x: math.inf if x == end else x  # noqa: E731
-    with pytest.raises(NonFiniteValue, match="primitive non-finite at a domain endpoint"):
+    with pytest.raises(NonFiniteValue, match=f"primitive non-finite at x={end}$"):
         sum_defect(F, lambda x: np.ones_like(x), HALVES)
+
+
+def _counted(fn):
+    """fn, with a list that records the points of every call."""
+    calls = []
+    return (lambda x: calls.append(x) or fn(x)), calls
+
+
+@pytest.mark.parametrize(
+    "value, error, match",
+    [
+        ("1.0", NonFiniteValue, "primitive not real at x=0.0$"),
+        (1j, NonFiniteValue, "primitive not real at x=0.0$"),
+        (10**400, NonFiniteValue, "primitive non-finite at x=0.0$"),
+        (np.ones(3), LengthMismatch, r"result of shape \(3,\)"),
+        ([0.1, [0.2, 0.3]], LengthMismatch, "ragged result"),
+    ],
+    ids=["string", "complex", "int-past-float", "length-3", "ragged"],
+)
+def test_sum_defect_evaluates_the_primitive_by_the_one_rule(value, error, match):
+    # one call on both ends, and a typed error instead of a parse, a
+    # TypeError or an OverflowError from float()
+    F, calls = _counted(lambda x: value)
+    integrand, summed = _counted(np.ones_like)
+    with pytest.raises(error, match=match):
+        sum_defect(F, integrand, HALVES)
+    assert [c.tolist() for c in calls] == [[0.0, 1.0]] and summed == []
+
+
+def test_sum_defect_calls_the_primitive_once_on_both_ends():
+    F, calls = _counted(lambda x: x * x / 2.0)
+    assert sum_defect(F, lambda x: np.asarray(x, float), HALVES) == 0.0
+    assert [c.tolist() for c in calls] == [[0.0, 1.0]]
+
+
+def test_sum_defect_rejects_an_increment_past_the_float_range():
+    F = lambda x: np.where(x > 0.5, 1e308, -1e308)  # noqa: E731
+    with pytest.raises(NonFiniteValue, match="primitive increment leaves the float range: inf"):
+        sum_defect(F, np.ones_like, HALVES)
 
 
 # ---------------------------------------------------------------- _sample
@@ -454,6 +495,20 @@ def test_family_rejects_a_bad_eps_with_invalid_tolerance(family, eps):
         family().at(eps)
 
 
+@pytest.mark.parametrize("eps", [Decimal("0.001"), np.float32(1e-3)], ids=["Decimal", "float32"])
+@pytest.mark.parametrize(
+    "family",
+    [smooth_gauge_family, osc.loop_gauge_family, lambda: osc.truncated_gauge_family(3)],
+    ids=["smooth", "loop", "truncated"],
+)
+def test_family_reads_eps_once_as_a_float(family, eps):
+    # the gauge closes over float(eps), so it neither fails on its first
+    # call (Decimal) nor computes in the caller's precision (float32)
+    xs = np.array([0.0, 0.25, 0.5, 0.9])
+    got = family().at(eps).eval_many(xs)
+    assert got.tolist() == family().at(float(eps)).eval_many(xs).tolist()
+
+
 @pytest.mark.parametrize("value", ["1e-3", None, 1e-3 + 0j], ids=["str", "None", "complex"])
 @pytest.mark.parametrize(
     "call",
@@ -467,6 +522,27 @@ def test_family_rejects_a_bad_eps_with_invalid_tolerance(family, eps):
 def test_non_real_accuracy_argument_raises_invalid_tolerance(call, value):
     with pytest.raises(InvalidTolerance, match="must be finite and"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: gauge_integrate(np.sin, smooth_gauge_family(), UNIT, tol=v),
+        lambda v: smooth_gauge_family().at(v),
+        lambda v: osc.loop_gauge_family().at(v),
+        lambda v: check_criterion3(0.0, 0.0, v),
+    ],
+    ids=["tol", "smooth-eps", "loop-eps", "criterion3-tol"],
+)
+def test_accuracy_argument_past_the_float_range_raises_invalid_tolerance(monkeypatch, call):
+    # read as an infinity, not an OverflowError from math.isfinite
+    from gaugequad import partition
+
+    builds = []
+    monkeypatch.setattr(partition, "_build_fine", lambda *a: builds.append(a))
+    with pytest.raises(InvalidTolerance, match="must be finite and"):
+        call(10**400)
+    assert builds == []
 
 
 def test_gauge_integrate_depth_exceeded_first_level_raises(monkeypatch):

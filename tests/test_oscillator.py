@@ -8,6 +8,7 @@ import pytest
 from gaugequad import (
     DomainError,
     Interval,
+    InvalidIndex,
     cousin_partition,
     gauge_integrate,
     is_delta_fine,
@@ -707,6 +708,19 @@ def test_figure_samples_rejects_bad_ranges():
         osc.figure_samples("fig1", 0.1, 1.0, 1)
     with pytest.raises(DomainError):
         osc.figure_samples("fig9", 0.1, 1.0, 10)
+
+
+@pytest.mark.parametrize("x_min, x_max", [("0.1", 0.5), (0.1, "0.5"), (None, 0.5), (0.1, 10**400)])
+def test_figure_samples_rejects_a_range_that_is_not_real_or_past_the_float_range(x_min, x_max):
+    # a typed error, not a TypeError from `<` or an OverflowError
+    with pytest.raises(DomainError, match="need 0 < x_min < x_max <= 1"):
+        osc.figure_samples(1, x_min, x_max, 3)
+
+
+def test_f_j_rejects_a_ragged_index_list():
+    # not numpy's "inhomogeneous shape" ValueError
+    with pytest.raises(InvalidIndex, match="ragged"):
+        osc.f_j([[1], [2, 3]], 0.5)
 
 
 @pytest.mark.parametrize("count", [2.5, "3", None])

@@ -43,6 +43,27 @@ def test_interval_requires_order_and_finiteness():
         Interval(-1e308, 1e308)
 
 
+def test_interval_rejects_end_points_past_the_float_range_or_not_real():
+    # an int past the float range reads as an infinity, not an OverflowError
+    for a, b in ((0, 10**400), (-(10**400), 0)):
+        with pytest.raises(ValueError, match=r"length must be finite, got \[.*inf"):
+            Interval(a, b)
+    # a numeric string is rejected, not parsed, and not a TypeError from `-`
+    for a, b in ((0, "1"), ("0", 1), (0, None), (0, 1j)):
+        with pytest.raises(ValueError, match="endpoints must be real numbers"):
+            Interval(a, b)
+
+
+def test_interval_stores_its_ends_as_floats():
+    # a Decimal or np.float32 end is read once, not kept to fail in `-` later
+    from decimal import Decimal
+
+    for a, b in ((Decimal(0), 1.0), (np.float32(0.1), Decimal("0.7")), (0, 1)):
+        iv = Interval(a, b)
+        assert (type(iv.a), type(iv.b)) == (float, float)
+        assert (iv.a, iv.b) == (float(a), float(b))
+
+
 def test_partition_validates_cover_and_abutment():
     # cells abut and span [points[0], points[-1]] by construction
     p = TaggedPartition([0.25, 0.75], [0.0, 0.5, 1.0])
@@ -147,6 +168,29 @@ def test_wrong_shaped_result_raises_after_one_call(site, result):
 
     with pytest.raises(LengthMismatch, match=r"does not broadcast to the points' shape \(5,\)"):
         run(fn)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_ragged_result_raises_length_mismatch_after_one_call(site):
+    # numpy cannot make one array of it
+    run, _ = SITES[site]
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return [0.1, [0.2, 0.3]]
+
+    with pytest.raises(LengthMismatch, match=r"ragged result does not broadcast to shape \(5,\)"):
+        run(fn)
+    assert len(calls) == 1
+
+
+def test_ragged_gauge_fails_a_build_after_one_call():
+    calls = []
+    gauge = Gauge(lambda x: calls.append(x) or [0.1, [0.2, 0.3]])
+    with pytest.raises(LengthMismatch, match="ragged result"):
+        cousin_partition(Interval(0.0, 1.0), gauge)
     assert len(calls) == 1
 
 
