@@ -176,9 +176,10 @@ def check_criterion1(
     evidence for the criterion whose conclusion is that the limit function
     integrates to alpha1.
 
-    The family and the selector may run on the sum worker and the gauge
-    runs on the caller's thread (see Threads in the package docstring), so
-    they must not share unsynchronised mutable state.  Sums follow
+    The family and the selector may run on the sum worker, and the gauge
+    runs on the caller's thread and, on bisection levels of at least 2**17
+    cells, on the build helper too (see Threads in the package docstring),
+    so they must not share unsynchronised mutable state.  Sums follow
     riemann_sum's block rule.  Before any build, an eps that is not finite
     and positive raises InvalidTolerance, and a trials that is not an
     integer >= 1, an alpha1 that is not a real number or a seed that is
@@ -189,7 +190,9 @@ def check_criterion1(
 
     def deviation(i: int, p: TaggedPartition) -> float:
         rng = np.random.default_rng([seed, 2, i])
-        idx = _thresholds(sel, p.tags) + rng.integers(1, _INDEX_HEADROOM + 1, size=len(p))
+        idx = rng.integers(1, _INDEX_HEADROOM + 1, size=len(p))
+        # into the draws: _thresholds may return the selector's own array
+        np.add(idx, _thresholds(sel, p.tags), out=idx)
         return abs(alpha1 - variable_index_sum(fam, idx, p))
 
     devs = _sample(fam.domain, [(gf.at(eps), [seed, 1])], trials, False, deviation)
@@ -213,8 +216,9 @@ def check_criterion2(
     the caller's part.  Each j gets its own gauge via gauge_for(j),
     following the per-index gauge construction, and its cousin partition
     plus `trials` seeded ones.  f_j may run on the sum worker, across j
-    values too, and gauge_for and its gauges run on the caller's thread
-    (see Threads in the package docstring), so they must not share
+    values too; gauge_for runs on the caller's thread, and its gauges do
+    too and, on bisection levels of at least 2**17 cells, on the build
+    helper (see Threads in the package docstring), so they must not share
     unsynchronised mutable state.  Sums follow riemann_sum's block rule.
     Before any build, an eps that is not finite and positive raises
     InvalidTolerance, and a trials that is not an integer >= 1, an alpha2

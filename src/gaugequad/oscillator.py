@@ -356,7 +356,9 @@ def index_selector() -> IndexSelector:
 
     def threshold(x):
         arr = np.asarray(x, dtype=float)
-        out = np.ceil(1.0 / np.where(arr > 0.0, arr, 1.0)).astype(np.int64)
+        q = np.where(arr > 0.0, arr, 1.0)
+        np.divide(1.0, q, out=q)
+        out = np.ceil(q, out=q).astype(np.int64)
         return out.item() if out.ndim == 0 else out
 
     return IndexSelector(threshold)

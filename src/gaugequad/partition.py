@@ -10,6 +10,7 @@ by seeded randomized bisection.
 """
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import numbers
@@ -48,9 +49,10 @@ _FIRST = np.array(
     dtype=np.uint8,
 )
 
-#: Trial orders are drawn this many cells at a time (see `_trial_orders`),
-#: and a seeded level or a tag sort of at least this many cells runs on the
-#: build helper (see `_build_fine`).
+#: Trial orders are drawn this many cells at a time (see `_trial_orders`).
+#: A seeded level's draws and a tag sort of at least this many cells run on
+#: the build helper, and so does the second half of the per-cell pass, gauge
+#: calls included, of a level of at least twice as many (see `_build_fine`).
 _DRAW_BLOCK = 1 << 16
 
 
@@ -118,7 +120,7 @@ def _eval_points(
                 f"result of shape {out.shape} does not broadcast to "
                 f"the points' shape {xs.shape}"
             ) from None
-    real = True
+    real = None  # a mask of the real values, once one is needed
     if out.dtype.kind == "c":  # a cast would keep only the real parts
         real = out.imag == 0.0
         out = out.real
@@ -126,7 +128,7 @@ def _eval_points(
         values = [_float(v) for v in out.flat]
         real = np.array([v is not None for v in values]).reshape(xs.shape)
         out = np.array([np.nan if v is None else v for v in values]).reshape(xs.shape)
-    if not np.all(real):
+    if real is not None and not real.all():
         raise error(f"{what} not real at x={xs[~real][0]}")
     out = np.asarray(out, dtype=dtype)
     good = ok(out)
@@ -247,7 +249,7 @@ def _build_fine(
     V = B[m:3m] are views and the split points are written into B[3m:].
     Level 0 is [a, b, M] with n = 1.  The gauge values dU and dV are views
     of a 3 x m block D in the same way.  Each frontier-length temporary
-    goes at its last use: span after the mid test, the code, first and
+    goes at its last use: span after the per-cell pass, the code, first and
     taken arrays once the index arrays ti and pi exist, and the old D and
     dM once the next D is gathered, so the next B is allocated beside only
     this level's B, the next D and pi.  A level whose spans are not all
@@ -261,32 +263,42 @@ def _build_fine(
     draws on this thread once its spans are checked.  A larger level's two
     draws are queued together on `pool`'s one helper thread, fractions
     first, as soon as the previous level allocates the block, so the helper
-    draws them while this thread gathers the pending cells into it; the
-    level then forms span and the two end tests before it awaits the
-    fractions, and the trial orders are drawn while this thread forms
-    M = (r * 0.5 + 0.25) * span + U in place, calls the gauge and runs the
-    mid test.  Generator.uniform(0.25, 0.75, n) forms its values from the
-    same doubles r as r * 0.5 + 0.25, so M is U + span * uniform(0.25,
-    0.75, n).  A level awaits both of its queued draws before the next
-    level draws or queues any, so the generator runs on one thread at a
-    time and makes the sequential build's draws in the same order.  The
-    helper runs only these draws and the final tag sort, never the gauge,
-    and its thread starts at its first task, as `ThreadPoolExecutor` starts
-    threads on submit: a build whose levels and partition all stay below
-    `_DRAW_BLOCK` cells starts no thread.  The mid test
-    (M - U < dM) & (V - M < dM) reuses span's buffer for both gaps, and the
-    trial orders are ORed into the code after it.
+    draws them while this thread gathers the pending cells into it.
+    Generator.uniform(0.25, 0.75, n) forms its values from the same doubles
+    r as r * 0.5 + 0.25, so M = (r * 0.5 + 0.25) * span + U, formed in
+    place, is U + span * uniform(0.25, 0.75, n).  A level awaits both of
+    its queued draws before the next level draws or queues any, so the
+    generator runs on one thread at a time and makes the sequential build's
+    draws in the same order.  Each level's per-cell pass forms the two end
+    tests, M, the gauge values dM, the mid test (M - U < dM) & (V - M < dM)
+    in span's buffer, the code with the trial orders ORed in, and the index
+    arrays.  A level of fewer than 2 * `_DRAW_BLOCK` cells runs it on this
+    thread, and awaits queued fractions after its end tests and queued
+    trial orders after its mid test.  A larger level, once its spans are
+    checked and both of its draws are in, runs it on its first n // 2
+    cells here and on the rest on the helper at the same time, so the
+    gauge is called once per half, and on two threads; the helper's half
+    runs in a copy of this thread's context, so the caller's np.errstate
+    applies there too.  An error of the first half wins, as its points come
+    first in frontier order.  The helper allocates only its half's gauge
+    values and index arrays; every array that outlives the level is
+    allocated on this thread.  The helper's thread starts at its first
+    task, as `ThreadPoolExecutor` starts threads on submit: a build whose
+    levels and partition all stay below `_DRAW_BLOCK` cells starts no
+    thread, and one whose levels stay below 2 * `_DRAW_BLOCK` cells calls
+    the gauge only on this thread.
 
     Compaction.  The accept mask is turned into index arrays once per
-    level, the accepted positions ti and the pending ones, and every gather
-    is a `take` on them.  Cell i's candidates u, mid and v sit at B[i],
-    B[oM + i] and B[oV + i], with off = (0, oM, oV) = (0, 3m, m), or
-    (0, 2, 1) at level 0, so each accepted tag is the one element
-    B[ti + off[first]], the very float that choosing among gathered copies
-    of U, M and V would give; the offsets are added into ti in place, once
-    the left ends U[ti] are taken.  The pending cells' gauge values and
-    then their (u, mid, v) are gathered straight into the next level's D
-    and B.
+    level, or once per half, the accepted positions ti and the pending
+    ones, counted from the first cell lo of their part, and every gather
+    is a `take` on them.  Cell lo + i's candidates u, mid and v sit at
+    B[lo + i], B[oM + lo + i] and B[oV + lo + i], with (oM, oV) = (3m, m),
+    or (2, 1) at level 0, so each accepted tag is the one element
+    B[ti + off[first]], off = (lo, oM + lo, oV + lo), the very float that
+    choosing among gathered copies of U, M and V would give; the offsets
+    are added into ti in place, once the left ends are taken.  The pending
+    cells' gauge values and then their (u, mid, v) are gathered straight
+    into the next level's D and B, the second half's after the first's.
 
     Order.  Accepted cells tile [a, b], so their left ends are distinct and
     sorting them by value gives every point but b.  The tags need no
@@ -302,7 +314,9 @@ def _build_fine(
     sorts both on this thread.  The levels run in `_levels`, so the last
     level's arrays are gone before these sorts and concatenations, and the
     `with` block joins the helper, if it started, before the build returns
-    or raises.
+    or raises, so no draw, sort or gauge call of a build runs after it,
+    the helper's gauge calls on levels of 2 * `_DRAW_BLOCK` cells or more
+    included.
     """
     with ThreadPoolExecutor(1, thread_name_prefix="gaugequad-build") as pool:
         acc_t, acc_u = _levels(domain, g, rng, pool)
@@ -322,10 +336,12 @@ def _build_fine(
 def _trial_orders(rng: np.random.Generator, n: int) -> np.ndarray:
     """rng.integers(0, 6, n) shifted left 3, as uint8: the values and the
     generator state of that one call, drawn in `_DRAW_BLOCK`-cell blocks so
-    that no frontier-length int64 array exists."""
+    that no frontier-length wide array exists.  Each block is drawn as
+    uint32, which gives int64's values and consumes the same generator
+    output, in half the bytes."""
     out = np.empty(n, dtype=np.uint8)
     for i in range(0, n, _DRAW_BLOCK):
-        block = rng.integers(0, 6, min(_DRAW_BLOCK, n - i))
+        block = rng.integers(0, 6, min(_DRAW_BLOCK, n - i), dtype=np.uint32)
         np.left_shift(block, 3, out=out[i:i + _DRAW_BLOCK], casting="unsafe")
     return out
 
@@ -342,6 +358,43 @@ def _levels(
         if rng is None or M.size < _DRAW_BLOCK:
             return None
         return pool.submit(rng.random, out=M), pool.submit(_trial_orders, rng, M.size)
+
+    def cells(lo: int, hi: int):
+        """The per-cell pass of the current level over frontier cells
+        [lo, hi): (lo, dM, ti, first, pi), with the gauge values dM at their
+        split points, the accepted and pending positions ti and pi counted
+        from lo, and the first covering candidate of each accepted cell.
+        It reads the level's arrays, and allocates only these and its
+        temporaries, so it may run on the helper."""
+        u, v, mp, s = B[lo:hi], B[oV + lo:oV + hi], B[oM + lo:oM + hi], span[lo:hi]
+        code = (s < dU[lo:hi]).view(np.uint8)
+        code |= (s < dV[lo:hi]).view(np.uint8) << 2
+        if rng is None:
+            np.add(u, v, out=mp)
+            mp *= 0.5
+        else:
+            if queued is not None:
+                queued[0].result()
+            mp *= 0.5
+            mp += 0.25
+            mp *= s
+            mp += u
+        dM = g.eval_many(mp)
+        np.subtract(mp, u, out=s)
+        mid = s < dM
+        np.subtract(v, mp, out=s)
+        mid &= s < dM
+        code |= mid.view(np.uint8) << 1
+        del mid
+        if rng is not None:
+            code |= (orders if queued is None else queued[1].result())[lo:hi]
+        first = _FIRST.take(code)
+        del code
+        taken = first < 3
+        (ti,) = taken.nonzero()
+        (pi,) = (~taken).nonzero()
+        del taken
+        return lo, dM, ti, first.take(ti), pi
 
     B = np.empty(3)
     B[0], B[1] = domain.a, domain.b
@@ -363,40 +416,26 @@ def _levels(
         if rng is not None and queued is None:
             rng.random(out=M)
             orders = _trial_orders(rng, n)
-        code = (span < dU).view(np.uint8)
-        code |= (span < dV).view(np.uint8) << 2
-        if rng is None:
-            np.add(U, V, out=M)
-            M *= 0.5
+        if n < 2 * _DRAW_BLOCK:
+            parts = [cells(0, n)]
         else:
             if queued is not None:
                 queued[0].result()
-            M *= 0.5
-            M += 0.25
-            M *= span
-            M += U
-        dM = g.eval_many(M)
-        np.subtract(M, U, out=span)
-        mid = span < dM
-        np.subtract(V, M, out=span)
-        mid &= span < dM
+                orders, queued = queued[1].result(), None
+            second = pool.submit(contextvars.copy_context().run, cells, n // 2, n)
+            # the first half's error, first in frontier order, wins
+            parts = [cells(0, n // 2), second.result()]
+            del second  # it holds the second half's arrays too
         del span
-        code |= mid.view(np.uint8) << 1
-        del mid
-        if rng is not None:
-            code |= orders if queued is None else queued[1].result()
-        first = _FIRST.take(code)
-        del code
-        taken = first < 3
-        ti = np.flatnonzero(taken)
-        pi = np.flatnonzero(~taken)
-        del taken
-        first = first.take(ti)
-        acc_u.append(U.take(ti))
-        ti += np.array((0, oM, oV)).take(first)
-        acc_t.append(B.take(ti))
-        del ti
-        m = pi.size
+        m = 0
+        for lo, dM, ti, first, pi in parts:
+            acc_u.append(U[lo:].take(ti))
+            ti += np.array((lo, oM + lo, oV + lo)).take(first)
+            acc_t.append(B.take(ti))
+            m += pi.size
+        # ti and first go here, before the next level's blocks are allocated
+        parts = [(lo, dM, pi) for lo, dM, _, _, pi in parts]
+        del dM, ti, first, pi
         if m == 0:
             break
         if depth == _MAX_DEPTH:
@@ -404,20 +443,28 @@ def _levels(
                 f"{m} cells still unacceptable at depth "
                 f"{_MAX_DEPTH}; gauge is finer than float spacing allows"
             )
-        # pi is in range, so mode="clip" clips nothing; it spares the
-        # buffered copy that take(out=...) makes under the default "raise".
+        # Each part's pending cells go to [a, b) of the next level, the
+        # first half's first.  pi is in range, so mode="clip" clips nothing;
+        # it spares the buffered copy that take(out=...) makes under the
+        # default "raise".
         D = np.empty((3, m))
-        dU.take(pi, out=D[0], mode="clip")
-        dM.take(pi, out=D[1], mode="clip")
-        dV.take(pi, out=D[2], mode="clip")
+        a = 0
+        for k, (lo, dM, pi) in enumerate(parts):
+            b = a + pi.size
+            dU[lo:].take(pi, out=D[0, a:b], mode="clip")
+            dM.take(pi, out=D[1, a:b], mode="clip")
+            dV[lo:].take(pi, out=D[2, a:b], mode="clip")
+            parts[k] = lo, pi, a, b
+            a = b
         del dM
         dU, dV = D[:2].ravel(), D[1:].ravel()
         C = np.empty((5, m))
         queued = queue(C[3:].ravel())
-        U.take(pi, out=C[0], mode="clip")
-        M.take(pi, out=C[1], mode="clip")
-        V.take(pi, out=C[2], mode="clip")
-        del pi
+        for lo, pi, a, b in parts:
+            U[lo:].take(pi, out=C[0, a:b], mode="clip")
+            M[lo:].take(pi, out=C[1, a:b], mode="clip")
+            V[lo:].take(pi, out=C[2, a:b], mode="clip")
+        del parts, pi
         B, n, oV, oM = C.ravel(), 2 * m, m, 3 * m
     return acc_t, acc_u
 
@@ -432,6 +479,10 @@ def cousin_partition(domain: Interval, g: Gauge) -> TaggedPartition:
 
     Raises DepthExceeded when depth 64 is reached with cells still
     unacceptable.
+
+    A large build sorts its tags on a helper thread, and a bisection level
+    of at least 2**17 cells calls the gauge on half of its split points
+    there (see Threads in the package docstring).
     """
     return TaggedPartition(*_build_fine(domain, g, None))
 
@@ -447,9 +498,9 @@ def random_delta_fine_partition(
     ints such as (seed, level, trial).  An entry that is not a non-negative
     integer raises ValueError before the build starts.
 
-    A large build makes its draws and its tag sort on a helper thread, but
-    the gauge runs only on the calling thread (see Threads in the package
-    docstring).
+    A large build makes its draws and its tag sort on a helper thread, and
+    a bisection level of at least 2**17 cells calls the gauge on half of
+    its split points there (see Threads in the package docstring).
     """
     _check_seed(seed)
     return TaggedPartition(*_build_fine(domain, g, np.random.default_rng(seed)))

@@ -190,12 +190,104 @@ THRESHOLD_GAUGES = {
 def test_draw_threshold_keeps_builds_bytewise(threshold, seed, monkeypatch):
     # a seeded level draws on the helper once its frontier reaches the
     # threshold, and inline below it; a build's tag sort moves to the helper
-    # at the same size, so the cousin rule is checked at each threshold too
+    # at the same size, so the cousin rule is checked at each threshold too.
+    # A level of twice the threshold splits its gauge calls and tests with
+    # the helper: the patched gauges' frontiers reach that size, and so does
+    # the unpatched one's under the cousin rule (2**18 cells at level 18),
+    # but not its seeded ones.
     if threshold is not None:
         monkeypatch.setattr(partition, "_DRAW_BLOCK", threshold)
     started = started_threads(monkeypatch)
-    assert_matches_reference(UNIT, THRESHOLD_GAUGES[threshold], seed)
+    base, evaluated = THRESHOLD_GAUGES[threshold], []
+
+    def delta(x):
+        evaluated.append(threading.current_thread().name)
+        return base.delta(x)
+
+    assert_matches_reference(UNIT, Gauge(delta), seed)
     assert package_threads(started) == {"gaugequad-build"}
+    split = {"gaugequad-build"} if threshold is not None or seed is None else set()
+    assert package_threads(evaluated) == split
+
+
+@pytest.mark.threads
+def test_only_levels_of_twice_the_draw_block_split_their_gauge_calls(monkeypatch):
+    # the cousin rule under a constant gauge of 1e-3 has 2**k cells at level
+    # k and accepts them all at level 9; with the block at 8 cells, a, b and
+    # the levels of 1 to 8 cells call the gauge once each on this thread,
+    # and the levels of 16 to 512 cells once per half on each thread
+    monkeypatch.setattr(partition, "_DRAW_BLOCK", 8)
+    calls = []
+
+    def delta(x):
+        calls.append((threading.current_thread().name, x.size))
+        return np.full_like(x, 1e-3)
+
+    assert len(cousin_partition(UNIT, Gauge(delta))) == 512
+    here = threading.current_thread().name
+    assert [k for name, k in calls if name == here] == [1, 1, 1, 2, 4, 8, 8, 16, 32, 64, 128, 256]
+    assert [k for name, k in calls if name != here] == [8, 16, 32, 64, 128, 256]
+    assert package_threads([name for name, _ in calls if name != here]) == {"gaugequad-build"}
+
+
+#: Under the cousin rule and a constant gauge of 1e-3, level 5 has 32 cells
+#: with split points (2j + 1) / 64.  Frontier position p holds cell j = p
+#: with its 5 bits reversed, so the even j, such as j = 4 at 9/64, fall in
+#: the first half, and the odd j, such as j = 3 at 7/64, in the second.
+FIRST_HALF, SECOND_HALF = 9 / 64, 7 / 64
+
+
+@pytest.mark.threads
+@pytest.mark.parametrize(
+    "bad, named, seen_on",
+    [
+        ((SECOND_HALF, FIRST_HALF), FIRST_HALF, {"caller", "helper"}),
+        ((SECOND_HALF,), SECOND_HALF, {"helper"}),
+    ],
+    ids=["both-halves", "second-half"],
+)
+def test_invalid_gauge_on_a_split_level_names_its_first_point_in_frontier_order(
+    bad, named, seen_on, monkeypatch
+):
+    # with both bad points, the build must name 9/64, the larger one, as it
+    # comes first in frontier order; the calls of the last, split, build
+    # show which thread saw which
+    calls = []
+
+    def delta(x):
+        calls.append((threading.current_thread().name, x.copy()))
+        return np.where(np.isin(x, bad), -1.0, 1e-3)
+
+    messages = []
+    for block in (1 << 16, 7):  # no level splits; levels of 14 cells or more split
+        monkeypatch.setattr(partition, "_DRAW_BLOCK", block)
+        calls.clear()
+        with pytest.raises(InvalidGauge) as raised:
+            cousin_partition(UNIT, Gauge(delta))
+        messages.append(str(raised.value))
+        assert not [t for t in threading.enumerate() if t.name.startswith("gaugequad-build")]
+    assert messages == [f"gauge non-positive or non-finite at x={named}"] * 2
+    assert {
+        "helper" if name.startswith("gaugequad-build") else "caller"
+        for name, x in calls
+        if np.isin(x, bad).any()
+    } == seen_on
+
+
+@pytest.mark.threads
+def test_callers_errstate_reaches_the_gauge_on_the_build_helper(monkeypatch):
+    # 1 / 0 only at 7/64, a split point in the second half of a split level
+    monkeypatch.setattr(partition, "_DRAW_BLOCK", 7)
+    names = []
+
+    def delta(x):
+        names.append(threading.current_thread().name)
+        return 1e-3 + 0.0 * (1.0 / (x - SECOND_HALF))
+
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            cousin_partition(UNIT, Gauge(delta))
+    assert package_threads(names) == {"gaugequad-build"}
 
 
 @st.composite
@@ -360,35 +452,44 @@ def test_invalid_gauge_raises_during_build(seed, monkeypatch):
     with pytest.raises(InvalidGauge):
         build(UNIT, Gauge(lambda x: x - 0.5), seed)
 
-    # valid on a, b and levels 0 to 3 and invalid on level 4's split points,
-    # while the helper is held in level 4's trial-order draw until it raises;
-    # with the draw threshold at 1 cell, every level's draws are queued
+    # valid on a, b and levels 0 to 3 and invalid on the first half of level
+    # 4's split points, while the helper is held in its gauge call on the
+    # second half until the first half's values are returned; with the draw
+    # threshold at 1 cell, every level's draws are queued and every level of
+    # k >= 1 splits, into halves of 2**(k - 1) cells
     monkeypatch.setattr(partition, "_DRAW_BLOCK", 1)
-    calls, draws, held, raised = [], [], [], threading.Event()
+    calls, draws, held = [], [], []
+    entered, raised = threading.Event(), threading.Event()
+    here = threading.current_thread().name
     trial_orders = partition._trial_orders
 
-    def held_orders(rng, n):
-        draws.append(threading.get_ident())
-        if len(draws) == 5:
-            held.append(raised.wait(timeout=30))
+    def recorded_orders(rng, n):
+        draws.append(threading.current_thread().name)
         return trial_orders(rng, n)
 
     def delta(x):
-        calls.append(threading.get_ident())
-        if len(calls) == 7:
-            raised.set()
-            return -np.ones_like(x)
+        calls.append(threading.current_thread().name)
+        if x.size == 8:  # level 4
+            if calls[-1] == here:
+                held.append(entered.wait(timeout=30))
+                raised.set()
+                return -np.ones_like(x)
+            entered.set()
+            held.append(raised.wait(timeout=30))
         return np.full_like(x, 1e-3)
 
-    monkeypatch.setattr(partition, "_trial_orders", held_orders)
+    monkeypatch.setattr(partition, "_trial_orders", recorded_orders)
     before = threading.active_count()
     with pytest.raises(InvalidGauge):
         build(UNIT, Gauge(delta), seed)
     assert threading.active_count() == before
-    assert set(calls) == {threading.get_ident()} and len(calls) == 7
+    assert held == [True, True]
+    # a, b, level 0, then both halves of levels 1 to 4, on two threads only
+    assert len(calls) == 11 and here in calls
+    (helper,) = set(calls) - {here}
+    assert helper.startswith("gaugequad-build")
     if seed is not None:
-        assert held == [True]
-        assert threading.get_ident() not in draws
+        assert set(draws) == {helper}
 
 
 def depth_messages(domain, g, seed):

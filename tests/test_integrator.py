@@ -281,8 +281,10 @@ def sum_worker(monkeypatch):
 
 @pytest.fixture
 def build_helper(monkeypatch):
-    """Every seeded level's draws and every tag sort on the build helper:
-    only levels and partitions of at least _DRAW_BLOCK cells go there."""
+    """Every seeded level's draws, every tag sort and the second half of
+    every level of 2 cells or more on the build helper: only levels and
+    partitions of at least _DRAW_BLOCK cells, and halves of levels of at
+    least twice that, go there."""
     from gaugequad import partition
 
     monkeypatch.setattr(partition, "_DRAW_BLOCK", 1)
@@ -302,6 +304,26 @@ def test_integrand_runs_on_a_worker_and_the_gauge_on_the_caller(sum_worker):
     gauge_integrate(track("f", lambda x: x), fam, UNIT, 1e-2)
     assert seen["gauge"] == {threading.get_ident()}
     assert seen["f"] and threading.get_ident() not in seen["f"]
+
+
+@pytest.mark.threads
+def test_gauge_runs_on_the_caller_and_the_build_helper_never_on_the_sum_worker(
+    sum_worker, build_helper
+):
+    # every level of 2 cells or more splits, and every sum is on the worker
+    seen = {"f": set(), "gauge": set()}
+
+    def track(name, fn):
+        def tracked(x):
+            seen[name].add(threading.current_thread().name)
+            return fn(x)
+        return tracked
+
+    fam = GaugeFamily(lambda eps: Gauge(track("gauge", lambda x: np.full_like(x, 0.05))))
+    gauge_integrate(track("f", lambda x: x), fam, UNIT, 1e-2)
+    assert threading.current_thread().name in seen["gauge"]
+    assert package_threads(seen["gauge"]) == {"gaugequad-build"}
+    assert package_threads(seen["f"]) == {"gaugequad-sum"}
 
 
 @pytest.mark.threads
