@@ -177,12 +177,11 @@ def check_criterion1(
     integrates to alpha1.
 
     The family and the selector may run on the sum worker, and the gauge
-    runs on the caller's thread and, on bisection levels of at least 2**17
-    cells, on the build helper too (see Threads in the package docstring),
-    so they must not share unsynchronised mutable state.  Sums follow
-    riemann_sum's block rule.  Before any build, an eps that is not finite
-    and positive raises InvalidTolerance, and a trials that is not an
-    integer >= 1, an alpha1 that is not a real number or a seed that is
+    on the caller's thread and the build helper (see Threads in the package
+    docstring), so they must not share unsynchronised mutable state.  Sums
+    follow riemann_sum's block rule.  Before any build, an eps that is not
+    finite and positive raises InvalidTolerance, and a trials that is not
+    an integer >= 1, an alpha1 that is not a real number or a seed that is
     not a non-negative integer raises ValueError.
     """
     eps, trials = _check_run("eps", eps, trials, 1)
@@ -216,14 +215,13 @@ def check_criterion2(
     the caller's part.  Each j gets its own gauge via gauge_for(j),
     following the per-index gauge construction, and its cousin partition
     plus `trials` seeded ones.  f_j may run on the sum worker, across j
-    values too; gauge_for runs on the caller's thread, and its gauges do
-    too and, on bisection levels of at least 2**17 cells, on the build
-    helper (see Threads in the package docstring), so they must not share
-    unsynchronised mutable state.  Sums follow riemann_sum's block rule.
-    Before any build, an eps that is not finite and positive raises
-    InvalidTolerance, and a trials that is not an integer >= 1, an alpha2
-    that is not a real number or a seed that is not a non-negative integer
-    raises ValueError.  The acceptance band is 2*eps, the bound the
+    values too; gauge_for runs on the caller's thread, and its gauges there
+    and on the build helper (see Threads in the package docstring), so they
+    must not share unsynchronised mutable state.  Sums follow riemann_sum's
+    block rule.  Before any build, an eps that is not finite and positive
+    raises InvalidTolerance, and a trials that is not an integer >= 1, an
+    alpha2 that is not a real number or a seed that is not a non-negative
+    integer raises ValueError.  The acceptance band is 2*eps, the bound the
     triangle inequality yields.
     """
     eps, trials = _check_run("eps", eps, trials, 1)

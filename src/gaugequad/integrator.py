@@ -280,10 +280,10 @@ def gauge_integrate(
     independent.  A seed that is not a non-negative integer raises
     ValueError before any build.
 
-    f may run on the sum worker, and the gauge runs on the caller's thread
-    and, on bisection levels of at least 2**17 cells, on the build helper
-    too (see Threads in the package docstring), so the two must not share
-    unsynchronised mutable state.  Sums follow riemann_sum's block rule.
+    f may run on the sum worker, and the gauge on the caller's thread and
+    the build helper (see Threads in the package docstring), so the two
+    must not share unsynchronised mutable state.  Sums follow riemann_sum's
+    block rule.
 
     Returns converged=False (with the last completed estimate) when the
     gauge family outruns float representability before the sums settle.

@@ -49,7 +49,6 @@ _FIRST = np.array(
     dtype=np.uint8,
 )
 
-#: Trial orders are drawn this many cells at a time (see `_trial_orders`).
 #: A seeded level's draws and a tag sort of at least this many cells run on
 #: the build helper, and so does the second half of the per-cell pass, gauge
 #: calls included, of a level of at least twice as many (see `_build_fine`).
@@ -259,28 +258,33 @@ def _build_fine(
 
     Draws and tests.  A seeded level draws its split fractions r with
     rng.random(out=M), straight into its block, then its trial orders (see
-    `_trial_orders`).  A level of fewer than `_DRAW_BLOCK` cells makes both
-    draws on this thread once its spans are checked.  A larger level's two
-    draws are queued together on `pool`'s one helper thread, fractions
-    first, as soon as the previous level allocates the block, so the helper
-    draws them while this thread gathers the pending cells into it.
-    Generator.uniform(0.25, 0.75, n) forms its values from the same doubles
-    r as r * 0.5 + 0.25, so M = (r * 0.5 + 0.25) * span + U, formed in
-    place, is U + span * uniform(0.25, 0.75, n).  A level awaits both of
-    its queued draws before the next level draws or queues any, so the
-    generator runs on one thread at a time and makes the sequential build's
-    draws in the same order.  Each level's per-cell pass forms the two end
-    tests, M, the gauge values dM, the mid test (M - U < dM) & (V - M < dM)
-    in span's buffer, the code with the trial orders ORed in, and the index
-    arrays.  A level of fewer than 2 * `_DRAW_BLOCK` cells runs it on this
-    thread, and awaits queued fractions after its end tests and queued
-    trial orders after its mid test.  A larger level, once its spans are
-    checked and both of its draws are in, runs it on its first n // 2
-    cells here and on the rest on the helper at the same time, so the
-    gauge is called once per half, and on two threads; the helper's half
-    runs in a copy of this thread's context, so the caller's np.errstate
-    applies there too.  An error of the first half wins, as its points come
-    first in frontier order.  The helper allocates only its half's gauge
+    `_trial_orders`).  Generator.uniform(0.25, 0.75, n) forms its values
+    from the same doubles r as r * 0.5 + 0.25, so M = (r * 0.5 + 0.25) *
+    span + U, formed in place, is U + span * uniform(0.25, 0.75, n).  A
+    level of fewer than `_DRAW_BLOCK` cells makes both draws on this thread
+    once its spans are checked.  A larger level's two draws are queued on
+    `pool`'s one helper thread as soon as the previous level allocates the
+    block, so the helper draws them while this thread gathers the pending
+    cells into it.  Each level's per-cell pass forms the two end tests, M,
+    the gauge values dM, the mid test (M - U < dM) & (V - M < dM) in span's
+    buffer, the code with the trial orders ORed in, and the index arrays;
+    it awaits queued fractions after its end tests and queued trial orders
+    after its mid test.  A level of fewer than 2 * `_DRAW_BLOCK` cells runs
+    it on this thread.  A larger level, once its spans are checked, runs it
+    on its first n // 2 cells here and on the rest on the helper at the
+    same time, so the gauge is called once per half, and on two threads;
+    the helper's half runs in a copy of this thread's context, so the
+    caller's np.errstate applies there too.  An error of the first half
+    wins, as its points come first in frontier order.  One rule orders the
+    helper's work: it runs its tasks in submission order, and this thread
+    submits a level's draws, then its second half, then the next level's
+    draws.  So the helper's half finds its level's draws made, the first
+    half may run while the trial orders are still being drawn, and every
+    await of a level's draws returns before the next level draws or queues
+    any: the generator runs on one thread at a time and makes the
+    sequential build's draws in the same order.  Both halves read the
+    level's futures from `queued`, which this thread rebinds only after the
+    helper's half has returned.  The helper allocates only its half's gauge
     values and index arrays; every array that outlives the level is
     allocated on this thread.  The helper's thread starts at its first
     task, as `ThreadPoolExecutor` starts threads on submit: a build whose
@@ -335,14 +339,11 @@ def _build_fine(
 
 def _trial_orders(rng: np.random.Generator, n: int) -> np.ndarray:
     """rng.integers(0, 6, n) shifted left 3, as uint8: the values and the
-    generator state of that one call, drawn in `_DRAW_BLOCK`-cell blocks so
-    that no frontier-length wide array exists.  Each block is drawn as
-    uint32, which gives int64's values and consumes the same generator
-    output, in half the bytes."""
+    generator state of that one call.  The draw is made as uint32, which
+    gives int64's values and consumes the same generator output, in half
+    the bytes."""
     out = np.empty(n, dtype=np.uint8)
-    for i in range(0, n, _DRAW_BLOCK):
-        block = rng.integers(0, 6, min(_DRAW_BLOCK, n - i), dtype=np.uint32)
-        np.left_shift(block, 3, out=out[i:i + _DRAW_BLOCK], casting="unsafe")
+    np.left_shift(rng.integers(0, 6, n, dtype=np.uint32), 3, out=out, casting="unsafe")
     return out
 
 
@@ -419,9 +420,6 @@ def _levels(
         if n < 2 * _DRAW_BLOCK:
             parts = [cells(0, n)]
         else:
-            if queued is not None:
-                queued[0].result()
-                orders, queued = queued[1].result(), None
             second = pool.submit(contextvars.copy_context().run, cells, n // 2, n)
             # the first half's error, first in frontier order, wins
             parts = [cells(0, n // 2), second.result()]
@@ -480,9 +478,8 @@ def cousin_partition(domain: Interval, g: Gauge) -> TaggedPartition:
     Raises DepthExceeded when depth 64 is reached with cells still
     unacceptable.
 
-    A large build sorts its tags on a helper thread, and a bisection level
-    of at least 2**17 cells calls the gauge on half of its split points
-    there (see Threads in the package docstring).
+    The gauge may also run on the build helper, so it must not share
+    unsynchronised mutable state (see Threads in the package docstring).
     """
     return TaggedPartition(*_build_fine(domain, g, None))
 
@@ -498,9 +495,8 @@ def random_delta_fine_partition(
     ints such as (seed, level, trial).  An entry that is not a non-negative
     integer raises ValueError before the build starts.
 
-    A large build makes its draws and its tag sort on a helper thread, and
-    a bisection level of at least 2**17 cells calls the gauge on half of
-    its split points there (see Threads in the package docstring).
+    The gauge may also run on the build helper, so it must not share
+    unsynchronised mutable state (see Threads in the package docstring).
     """
     _check_seed(seed)
     return TaggedPartition(*_build_fine(domain, g, np.random.default_rng(seed)))

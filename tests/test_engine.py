@@ -230,6 +230,35 @@ def test_only_levels_of_twice_the_draw_block_split_their_gauge_calls(monkeypatch
     assert package_threads([name for name, _ in calls if name != here]) == {"gaugequad-build"}
 
 
+@pytest.mark.threads
+def test_a_split_levels_first_half_overlaps_its_trial_order_draw(monkeypatch):
+    # a seeded build under a constant gauge of 1e-3 accepts nothing before
+    # level 5; with the block at 8 cells this thread calls the gauge on 8
+    # points at level 3, and again on the first half of level 4, the first
+    # split level, which needs its trial orders only after its mid test.
+    # The helper is held in that level's trial-order draw until then.
+    monkeypatch.setattr(partition, "_DRAW_BLOCK", 8)
+    here = threading.current_thread().name
+    trial_orders = partition._trial_orders
+    first_half, eights, held = threading.Event(), [], []
+
+    def held_orders(rng, n):
+        if n >= 16 and not held:
+            held.append(first_half.wait(timeout=5))
+        return trial_orders(rng, n)
+
+    def delta(x):
+        if threading.current_thread().name == here and x.size == 8:
+            eights.append(x.size)
+            if len(eights) == 2:
+                first_half.set()
+        return np.full_like(x, 1e-3)
+
+    monkeypatch.setattr(partition, "_trial_orders", held_orders)
+    assert_matches_reference(UNIT, Gauge(delta), 0)
+    assert held == [True]
+
+
 #: Under the cousin rule and a constant gauge of 1e-3, level 5 has 32 cells
 #: with split points (2j + 1) / 64.  Frontier position p holds cell j = p
 #: with its 5 bits reversed, so the even j, such as j = 4 at 9/64, fall in
@@ -406,8 +435,8 @@ def test_builds_on_four_threads_under_a_short_switch_interval_match_the_referenc
 
 # A seeded build draws each level's split fractions with rng.random(out=M)
 # and forms M = (r * 0.5 + 0.25) * span + U in place, and draws its trial
-# orders in 2**16-cell blocks; the seeded partitions above equal the
-# reference's only while these match the draws the reference makes.
+# orders as uint32; the seeded partitions above equal the reference's only
+# while these match the draws the reference makes.
 
 
 @pytest.mark.threads
